@@ -4,16 +4,26 @@ with classical two-valued evaluation as the comparison mode.
 Truth values are ordered F < B < T with designated set {T, B}; negation
 swaps T and F and fixes B; conjunction and disjunction are min and max in
 that order.  Satisfiability and consequence are decided by exhaustive
-enumeration of valuations (the atom budget keeps this at desk scale).
+enumeration of valuations in a fixed order (sorted atoms, F < (B) < T,
+last atom fastest).  Valuations are taken in chunks of CHUNK_SIZE, each an
+int8 table of atom values; every formula node is evaluated once per chunk
+as a column over all of its valuations.  Constraint sets with more than
+VALUATION_BUDGET valuations in the chosen mode are refused up front.
+`eval3` is the reference semantics for a single valuation.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
-ATOM_BUDGET = 20
+import numpy as np
+
+# a full pass over 3^15 valuations takes seconds, and each further LP atom
+# triples it
+VALUATION_BUDGET = 3 ** 15
+# valuations per enumeration chunk
+CHUNK_SIZE = 3 ** 10
 
 CLASSICAL = "classical"
 LP = "lp"
@@ -123,21 +133,71 @@ def eval3(f: Formula, valuation: dict) -> TV:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _valuations(names, mode):
-    """All valuations over sorted atom names, values cycling F < (B) < T,
-    last atom fastest.  Deterministic enumeration order."""
-    values = (TV.F, TV.T) if mode == CLASSICAL else (TV.F, TV.B, TV.T)
-    for combo in itertools.product(values, repeat=len(names)):
-        yield dict(zip(names, combo))
+_VALUES = {CLASSICAL: (TV.F, TV.T), LP: (TV.F, TV.B, TV.T)}
 
 
 def _checked_atoms(formulas, mode) -> list:
     if mode not in MODES:
         raise LogicError(f"unknown mode {mode!r} (expected one of {MODES})")
     names = sorted(set().union(*[atoms(f) for f in formulas]) if formulas else set())
-    if len(names) > ATOM_BUDGET:
-        raise LogicError(f"{len(names)} atoms exceed the enumeration budget {ATOM_BUDGET}")
+    count = len(_VALUES[mode]) ** len(names)
+    if count > VALUATION_BUDGET:
+        raise LogicError(f"{len(names)} atoms give {count} valuations in {mode} mode, "
+                         f"over the enumeration budget of {VALUATION_BUDGET}")
     return names
+
+
+def _chunks(names, mode):
+    """All valuations over the sorted atom names in enumeration order, as
+    int8 tables of shape (atoms, valuations) holding TV values, at most
+    CHUNK_SIZE valuations each."""
+    values = np.array(_VALUES[mode], dtype=np.int8)
+    base = len(values)
+    total = base ** len(names)
+    for start in range(0, total, CHUNK_SIZE):
+        index = np.arange(start, min(start + CHUNK_SIZE, total))
+        table = np.empty((len(names), len(index)), dtype=np.int8)
+        for i in reversed(range(len(names))):
+            index, digit = np.divmod(index, base)
+            table[i] = values[digit]
+        yield table
+
+
+def _column(f: Formula, columns: dict) -> np.ndarray:
+    """The values of f at every valuation of a chunk, by the rules of eval3."""
+    if isinstance(f, Atom):
+        return columns[f.name]
+    if isinstance(f, Not):
+        return 2 - _column(f.arg, columns)
+    a, b = _column(f.left, columns), _column(f.right, columns)
+    if isinstance(f, AndF):
+        return np.minimum(a, b)
+    if isinstance(f, OrF):
+        return np.maximum(a, b)
+    if isinstance(f, Imp):
+        return np.maximum(2 - a, b)
+    if isinstance(f, Iff):
+        return np.minimum(np.maximum(2 - a, b), np.maximum(2 - b, a))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _designated(formulas, names, table) -> np.ndarray:
+    """Mask of the chunk's valuations designating every formula."""
+    columns = dict(zip(names, table))
+    ok = np.ones(table.shape[1], dtype=bool)
+    for f in formulas:
+        # designated is above F; an int operand spares numpy probing the enum
+        ok &= _column(f, columns) > 0
+    return ok
+
+
+# the TV members indexed by value, to turn a table into TV members at once
+_TV_MEMBERS = np.array(list(TV), dtype=object)
+
+
+def _as_dicts(names, table) -> list:
+    """The valuations of a table's columns, as dicts of TV members."""
+    return [dict(zip(names, values)) for values in _TV_MEMBERS[table.T].tolist()]
 
 
 def satisfiable(constraints, mode: str = LP) -> dict | None:
@@ -145,9 +205,10 @@ def satisfiable(constraints, mode: str = LP) -> dict | None:
     or None."""
     constraints = list(constraints)
     names = _checked_atoms(constraints, mode)
-    for v in _valuations(names, mode):
-        if all(eval3(f, v).designated for f in constraints):
-            return v
+    for table in _chunks(names, mode):
+        ok = _designated(constraints, names, table)
+        if ok.any():
+            return _as_dicts(names, table[:, [ok.argmax()]])[0]
     return None
 
 
@@ -155,8 +216,8 @@ def models(constraints, mode: str = LP) -> list:
     """All valuations designating every constraint, in enumeration order."""
     constraints = list(constraints)
     names = _checked_atoms(constraints, mode)
-    return [v for v in _valuations(names, mode)
-            if all(eval3(f, v).designated for f in constraints)]
+    return [v for table in _chunks(names, mode)
+            for v in _as_dicts(names, table[:, _designated(constraints, names, table)])]
 
 
 def consequence(premises, conclusion: Formula, mode: str = LP) -> bool:
@@ -164,10 +225,10 @@ def consequence(premises, conclusion: Formula, mode: str = LP) -> bool:
     premises designates the conclusion."""
     premises = list(premises)
     names = _checked_atoms(premises + [conclusion], mode)
-    for v in _valuations(names, mode):
-        if all(eval3(f, v).designated for f in premises):
-            if not eval3(conclusion, v).designated:
-                return False
+    for table in _chunks(names, mode):
+        if (_designated(premises, names, table)
+                & ~_designated([conclusion], names, table)).any():
+            return False
     return True
 
 

@@ -172,6 +172,12 @@ class TestLp:
         code, out, err = run(capsys, "lp", "postulate", "s", "s")
         assert code == EXIT_USAGE
 
+    def test_valuation_budget(self, capsys):
+        labels = [f"l{i}" for i in range(16)]
+        code, out, err = run(capsys, "lp", "chain", *labels)
+        assert code == EXIT_USAGE
+        assert "43046721 valuations" in err
+
 
 class TestScenario:
     def test_list(self, capsys):

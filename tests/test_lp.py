@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qopposition import lp
 from qopposition.lp import (CLASSICAL, LP, TV, AndF, Atom, Iff, Imp, LogicError,
                             Not, OrF, ParseError, atoms, consequence,
                             equivalence_chain, eval3, models,
@@ -101,6 +102,18 @@ class TestSatisfiable:
         with pytest.raises(LogicError):
             satisfiable(constraints, LP)
 
+    def test_valuation_budget_refuses_16_lp_atoms(self):
+        constraints = [Atom(f"a{i}") for i in range(16)]
+        for check in (lambda: satisfiable(constraints, LP),
+                      lambda: models(constraints, LP),
+                      lambda: consequence(constraints, Atom("a0"), LP)):
+            with pytest.raises(LogicError, match="43046721"):
+                check()
+
+    def test_valuation_budget_admits_21_classical_atoms(self):
+        constraints = [Atom(f"a{i}") for i in range(21)]
+        assert satisfiable(constraints, CLASSICAL) == {f"a{i}": TV.T for i in range(21)}
+
 
 class TestModels:
     def test_contradiction_models_lp(self):
@@ -154,6 +167,46 @@ class TestConsequence:
     def test_classical_explosion(self):
         p, q = Atom("p"), Atom("q")
         assert consequence([p, Not(p)], q, CLASSICAL) is True
+
+
+def oracle(formulas, mode):
+    """Valuations over the atoms of formulas in the documented order (sorted
+    atoms, F < (B) < T, last atom fastest), by itertools and eval3."""
+    names = sorted(set().union(*[atoms(f) for f in formulas]))
+    values = (TV.F, TV.T) if mode == CLASSICAL else (TV.F, TV.B, TV.T)
+    return [dict(zip(names, combo))
+            for combo in itertools.product(values, repeat=len(names))]
+
+
+class TestOracle:
+    """The chunked column engine against one eval3 call per valuation."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, lp.CHUNK_SIZE])
+    @pytest.mark.parametrize("mode", [LP, CLASSICAL])
+    def test_matches_brute_force(self, monkeypatch, chunk, mode):
+        import random
+        monkeypatch.setattr(lp, "CHUNK_SIZE", chunk)
+        rng = random.Random(2024)
+        names = ["p", "q", "r", "s"]
+        for _ in range(60):
+            constraints = [random_formula(rng, names, 3)
+                           for _ in range(rng.randrange(4))]
+            conclusion = random_formula(rng, names, 3)
+            want = [v for v in oracle(constraints, mode)
+                    if all(eval3(f, v).designated for f in constraints)]
+            got = models(constraints, mode)
+            assert got == want
+            assert all(type(x) is TV and x is want[i][k]
+                       for i, m in enumerate(got) for k, x in m.items())
+            first = satisfiable(constraints, mode)
+            assert first == (want[0] if want else None)
+            assert first is None or all(x is want[0][k] for k, x in first.items())
+            follows = all(eval3(conclusion, v).designated
+                          for v in oracle(constraints + [conclusion], mode)
+                          if all(eval3(f, v).designated for f in constraints))
+            assert consequence(constraints, conclusion, mode) is follows
+            assert consequence([], conclusion, mode) is all(
+                eval3(conclusion, v).designated for v in oracle([conclusion], mode))
 
 
 class TestGenerators:
