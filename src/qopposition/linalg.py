@@ -1,8 +1,10 @@
-"""Small-dimension complex linear algebra: vectors, a cyclic Jacobi
+"""Small-dimension complex linear algebra: vectors, a LAPACK-backed
 eigensolver for Hermitian matrices, and the subspace calculus
 (membership, containment, intersection, join, orthocomplement).
 
-All decisions are eps-thresholded; the single global default is EPS.
+Intersections and orthocomplements come from singular value
+decompositions.  Every membership decision, the meet's included, is the
+`contains` residual test at one eps; the single global default is EPS.
 Every value is immutable after construction and every function is pure.
 """
 
@@ -12,7 +14,6 @@ import numpy as np
 
 EPS = 1e-9
 MAX_DIM = 16
-_MAX_SWEEPS = 100
 
 
 class LinalgError(Exception):
@@ -84,7 +85,8 @@ def _canonical_phase(v: np.ndarray, eps: float) -> np.ndarray:
 
 
 def hermitian_eig(m, eps: float = EPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (np.linalg.eigh)
+    on its symmetrized form.
 
     Returns (eigenvalues, eigenvectors): eigenvalues ascending as a real
     array, eigenvectors as columns of a unitary matrix, phases fixed so
@@ -93,59 +95,14 @@ def hermitian_eig(m, eps: float = EPS):
     eigenvector components.
     """
     check_eps(eps)
-    a = as_matrix(m).copy()
+    a = as_matrix(m)
     n = a.shape[0]
     if not is_hermitian(a, eps):
         raise ValueError("matrix is not Hermitian within eps")
-    # symmetrize so accumulated roundoff cannot skew the iteration
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-
-    # convergence threshold on the off-diagonal Frobenius mass, scaled by
-    # the matrix magnitude so large entries do not stall the sweep loop
-    scale = max(1.0, float(np.sum(np.abs(a) ** 2)))
-    threshold = eps * eps * scale
-
-    off_diag = ~np.eye(n, dtype=bool)
-
-    def off_mass() -> float:
-        return float(np.sum(np.abs(a[off_diag]) ** 2))
-
-    sweeps = 0
-    while off_mass() > threshold:
-        if sweeps >= _MAX_SWEEPS:
-            raise ConvergenceError(f"Jacobi failed to converge in {_MAX_SWEEPS} sweeps")
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r < 1e-150:  # negligible pivot; rotating would overflow
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t = t / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary rotation R: R[p,p]=c, R[p,q]=s,
-                # R[q,p]=-conj(phase)*s, R[q,q]=conj(phase)*c
-                pb = np.conj(phase)
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - pb * s * aq
-                a[:, q] = s * ap + pb * c * aq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - phase * s * rq
-                a[q, :] = s * rp + phase * c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - pb * s * vq
-                v[:, q] = s * vp + pb * c * vq
-
-    evals = np.diag(a).real.copy()
+    try:
+        evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh failed: {exc}") from None
     vecs = [_canonical_phase(v[:, i].copy(), eps) for i in range(n)]
 
     def sort_key(i):
@@ -229,17 +186,27 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def intersect(self, other: "Subspace", eps: float = EPS) -> "Subspace":
-        """Meet of two subspaces: the eigenvalue-2 eigenspace of the sum of
-        the two projectors, decided by eigenvalue > 2 - eps."""
+        """Meet of two subspaces by principal angles (Bjorck & Golub 1973).
+
+        Of the two arguments, a is the one of smaller dimension (ties go to
+        the smaller basis bytes), so the result does not depend on their
+        order.  For each right singular vector v of the residual
+        (I - P_b) B_a, the unit direction B_a v lies in a and its residual
+        against b is the matching singular value.  The meet is spanned by
+        the directions that `b.contains` accepts: a singular value below
+        eps, decided by the same test at the same eps as truth(), so
+        rounding at the threshold cannot emit a meet vector that fails
+        membership.  Smallest residual first."""
         self._check_ambient(other)
         check_eps(eps)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
-        evals, vecs = hermitian_eig(self.projector() + other.projector(), eps)
-        cols = [vecs[:, i] for i in range(len(evals)) if evals[i] > 2.0 - eps]
-        if not cols:
-            return Subspace.zero(self.ambient_dim)
-        return gram_schmidt(cols, eps)
+        a, b = sorted((self, other), key=lambda s: (s.dim, s.basis.tobytes()))
+        residual = a.basis - b.basis @ (b.basis.conj().T @ a.basis)
+        _, _, vh = np.linalg.svd(residual, full_matrices=False)
+        dirs = a.basis @ vh[::-1].conj().T
+        keep = [i for i in range(dirs.shape[1]) if b.contains(dirs[:, i], eps)]
+        return Subspace(self.ambient_dim, dirs[:, keep], eps)
 
     def join(self, other: "Subspace", eps: float = EPS) -> "Subspace":
         self._check_ambient(other)
@@ -250,14 +217,12 @@ class Subspace:
         return gram_schmidt(cols, eps)
 
     def orthocomplement(self, eps: float = EPS) -> "Subspace":
+        """The trailing left singular vectors of the basis."""
         check_eps(eps)
         if self.is_zero():
             return Subspace.full(self.ambient_dim)
-        if self.is_full():
-            return Subspace.zero(self.ambient_dim)
-        evals, vecs = hermitian_eig(self.projector(), eps)
-        cols = [vecs[:, i] for i in range(len(evals)) if evals[i] < 0.5]
-        return gram_schmidt(cols, eps)
+        u, _, _ = np.linalg.svd(self.basis)
+        return Subspace(self.ambient_dim, u[:, self.dim:], eps)
 
     def equals(self, other: "Subspace", eps: float = EPS) -> bool:
         return self.is_subset(other, eps) and other.is_subset(self, eps)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
-                                Subspace, gram_schmidt, hermitian_eig, inner)
+                                LinalgError, Subspace, gram_schmidt,
+                                hermitian_eig, inner)
 
 from helpers import haar_unitary, random_hermitian, random_subspace, random_state
 
@@ -114,15 +115,25 @@ class TestHermitianEig:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         m = random_hermitian(3, rng)
-        a = hermitian_eig(m)
-        b = hermitian_eig(m)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        u = haar_unitary(3, rng)
+        for h in (m, u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T):
+            a = hermitian_eig(h)
+            b = hermitian_eig(h)
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_eigenvalues_ascending(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             evals, _ = hermitian_eig(random_hermitian(4, rng))
             assert all(evals[i] <= evals[i + 1] for i in range(3))
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            hermitian_eig(np.eye(2))
+        assert issubclass(ConvergenceError, LinalgError)
 
 
 class TestSubspaceCalculus:
@@ -165,6 +176,15 @@ class TestSubspaceCalculus:
         t = gram_schmidt([[0, 1, 0], [0, 0, 1]])
         got = s.intersect(t)
         assert got.dim == 1 and got.contains([0, 1, 0])
+
+    @pytest.mark.parametrize("theta, meet_dim", [(1e-5, 0), (1e-12, 1)])
+    def test_near_parallel_lines_meet_by_contains(self, theta, meet_dim):
+        # the meet keeps a direction iff contains() accepts it: lines 1e-5
+        # rad apart have residual 1e-5 > eps, lines 1e-12 apart 1e-12 < eps
+        a = gram_schmidt([[1, 0]])
+        b = gram_schmidt([[math.cos(theta), math.sin(theta)]])
+        assert a.intersect(b).dim == b.intersect(a).dim == meet_dim
+        assert a.contains(b.basis[:, 0]) == (meet_dim == 1)
 
     def test_join_lines_full(self):
         assert gram_schmidt([[1, 0]]).join(gram_schmidt([[0, 1]])).is_full()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qopposition.linalg import Subspace, gram_schmidt
+from qopposition.linalg import EPS, Subspace, gram_schmidt
 from qopposition.opposition import (OppositionError, Relation, build_hexagon,
                                     build_square, can_both_be_false,
                                     can_both_be_true, classify, entails,
@@ -160,6 +162,53 @@ class TestWitnesses:
             assert got is True and w.replay()
             found = random_witness_search((p, q), (False, False), seed=5, trials=2000)
             assert found is not None
+
+
+# principal angles log-uniform in [1e-12, 1e-3], plus angles within 1e-6
+# relative of eps, where the meet and membership decide at the threshold
+ANGLES = st.one_of(st.floats(-12.0, -3.0).map(lambda x: 10.0 ** x),
+                   st.floats(-1e-6, 1e-6).map(lambda r: EPS * (1.0 + r)))
+
+
+@st.composite
+def near_parallel_pair(draw):
+    """Two literals on lines or planes in C^2..C^4 whose first principal
+    angle is drawn from ANGLES; a shared second direction, if any, is
+    exact, and the other principal angle is pi/2."""
+    n = draw(st.integers(2, 4))
+    ka = draw(st.integers(1, n - 1))
+    kb = draw(st.integers(1, n - 1))
+    theta = draw(ANGLES)
+    u = haar_unitary(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    a = gram_schmidt([u[:, i] for i in range(ka)])
+    tilted = math.cos(theta) * u[:, 0] + math.sin(theta) * u[:, n - 1]
+    b = gram_schmidt([tilted] + [u[:, i] for i in range(1, kb)])
+    p = Literal(a, draw(st.booleans()))
+    q = Literal(b, draw(st.booleans()))
+    return (q, p) if draw(st.booleans()) else (p, q)
+
+
+class TestNearParallel:
+    def test_lines_1e5_apart_are_contrary(self):
+        p = Literal(gram_schmidt([[1, 0]]))
+        q = Literal(gram_schmidt([[math.cos(1e-5), math.sin(1e-5)]]))
+        assert can_both_be_true(p, q) == (False, None)
+        assert classify(p, q).relation is Relation.CONTRARY
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(near_parallel_pair())
+    def test_witnesses_replay_and_order_is_irrelevant(self, pair):
+        p, q = pair
+        for _, w in (can_both_be_true(p, q), can_both_be_false(p, q)):
+            assert w is None or w.replay()
+        c = classify(p, q)
+        for w in c.witnesses.values():
+            assert w.replay()
+        assert c == classify(q, p).swapped()
+        meet = p.subspace.intersect(q.subspace)
+        assert meet.dim == q.subspace.intersect(p.subspace).dim
+        assert all(p.subspace.contains(v) and q.subspace.contains(v)
+                   for v in meet.basis.T)
 
 
 class TestWitnessSearch:

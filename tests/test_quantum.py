@@ -178,6 +178,17 @@ class TestFamilyFromObservable:
         with pytest.raises(QuantumError):
             Observable(np.array([[0, 1], [0, 0]], dtype=complex), "bad")
 
+    def test_repeated_eigenvalue_gives_one_rank2_member(self):
+        u = haar_unitary(3, np.random.default_rng(37))
+        obs = Observable(u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T, "D")
+        fam = family_from_observable(obs)
+        assert fam.labels == ["1", "2"]
+        assert fam.subspace("1").equals(gram_schmidt([u[:, 0], u[:, 1]]))
+        assert fam.subspace("2").equals(gram_schmidt([u[:, 2]]))
+        again = family_from_observable(obs)
+        for (_, s), (_, t) in zip(fam.members, again.members):
+            assert np.array_equal(s.basis, t.basis)
+
 
 class TestCollapse:
     def test_fixed_point_on_member(self):
