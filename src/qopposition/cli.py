@@ -5,7 +5,7 @@ lp {postulate,chain,check}, scenario {list,show,run}.
 
 Output formats: text (default), json (canonical, byte-stable), dot
 (Graphviz, polygon commands only).  Exit codes: 0 ok, 1 UNSAT,
-2 usage/input error, 3 Undecided, 4 consequence false.
+2 usage/input error, 4 consequence false.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_USAGE = 2
-EXIT_UNDECIDED = 3
 EXIT_NOT_CONSEQUENCE = 4
 
 
@@ -131,7 +130,6 @@ _DOT_STYLE = {
     Relation.SUBCONTRARY: 'style=dotted, dir=none',
     Relation.EQUIVALENT: 'style=bold, dir=both',
     Relation.INDEPENDENT: 'style=solid, color=gray, dir=none',
-    Relation.UNDECIDED: 'style=solid, color=red, dir=none',
 }
 
 
@@ -171,14 +169,14 @@ def cmd_classify(args) -> int:
         _emit(report, args.format)
         return EXIT_OK if valid else EXIT_USAGE
 
-    c = classify(p, q, args.eps, args.seed, args.trials)
+    c = classify(p, q, args.eps)
     report = _report(
         args, f"classify {args.scenario} {args.prop_a} {args.prop_b}",
         relation=c.describe(args.prop_a, args.prop_b),
         witnesses={k: _witness_out(w) for k, w in sorted(c.witnesses.items())},
         warnings=sc.warnings)
     _emit(report, args.format)
-    return EXIT_UNDECIDED if c.relation is Relation.UNDECIDED else EXIT_OK
+    return EXIT_OK
 
 
 def _cmd_polygon(args, which: str) -> int:
@@ -186,15 +184,13 @@ def _cmd_polygon(args, which: str) -> int:
     a = sc.resolve_proposition(args.prop_a)
     e = sc.resolve_proposition(args.prop_e)
     build = build_square if which == "square" else build_hexagon
-    poly = build(a, e, args.eps, args.seed, args.trials)
+    poly = build(a, e, args.eps)
     relations = {}
-    undecided = False
     for (x, y), c in sorted(poly.relations.items()):
         relations[f"{x}-{y}"] = {
             "relation": c.describe(x, y),
             "witnesses": {k: _witness_out(w) for k, w in sorted(c.witnesses.items())},
         }
-        undecided = undecided or c.relation is Relation.UNDECIDED
     report = _report(
         args, f"{which} {args.scenario} {args.prop_a} {args.prop_e}",
         positions={n: p.display() for n, p in poly.positions.items()},
@@ -202,7 +198,7 @@ def _cmd_polygon(args, which: str) -> int:
         deviations=[list(d) for d in poly.deviations],
         warnings=sc.warnings)
     _emit(report, args.format, dot=polygon_dot(poly, which))
-    return EXIT_UNDECIDED if undecided else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_square(args) -> int:
@@ -299,7 +295,7 @@ def cmd_scenario(args) -> int:
             print(f"propositions: {', '.join(sorted(sc.propositions))}")
             print(f"queries: {len(sc.queries)}")
         return EXIT_OK
-    results = run_all(sc, args.eps, args.seed, args.trials)
+    results = run_all(sc, args.eps)
     report = _report(args, f"scenario run {args.name}",
                      scenario=sc.name, queries=results, warnings=sc.warnings)
     _emit(report, args.format)
@@ -315,9 +311,11 @@ def _global_flags(p, suppress: bool) -> None:
     p.add_argument("--eps", type=float, default=d(EPS),
                    help="decision tolerance (default 1e-9)")
     p.add_argument("--seed", type=int, default=d(DEFAULT_SEED),
-                   help="seed for randomized witness search (default 42)")
+                   help="echoed in the output header only; no decision "
+                        "uses it (default 42)")
     p.add_argument("--trials", type=int, default=d(DEFAULT_TRIALS),
-                   help="witness search budget (default 2000)")
+                   help="echoed in the output header only; no decision "
+                        "uses it (default 2000)")
     p.add_argument("--format", choices=("text", "json", "dot"),
                    default=d("text"))
 

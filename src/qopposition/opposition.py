@@ -1,11 +1,21 @@
 """Opposition relations between quantum propositions.
 
-The classifier answers two existential questions (can both be true? can
-both be false?) and two entailment questions, then reads the relation off
-the square-of-opposition taxonomy.  For literal pairs and for compounds
-whose leaves all live in one orthogonal family, the answers are exact
-subspace decisions; everything else falls back to a seeded randomized
-witness search and may come back Undecided.
+The truth of a proposition at a state depends only on which of its leaf
+subspaces contain the state.  Every decision enumerates those membership
+patterns over the distinct leaf subspaces S_1..S_k of both propositions:
+a pattern I is realizable iff T_I, the meet of the S_i with i in I (the
+whole space when I is empty), holds a state that `contains` puts in no
+S_j with j outside I.  A complex space is never a finite union of proper
+subspaces, so a short deterministic search over T_I finds that state
+whenever T_I lies in no such S_j.  The four questions (can both be true?
+can both be false? does either entail the other?) are read off the
+realizable patterns, every positive answer carries its pattern's witness,
+and the relation follows from the square-of-opposition taxonomy.  Inputs
+with more than LEAF_BUDGET distinct leaf subspaces are refused up front,
+since the enumeration doubles with each leaf.
+
+`random_witness_search` samples Haar-random states.  No decision uses it;
+the tests keep it as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, DimensionMismatch, Subspace
-from .quantum import (And, Literal, Or, OrthoFamily, Proposition, State,
-                      ambient_dim_of, leaves, superpose, truth)
+from .linalg import EPS, DimensionMismatch
+from .quantum import (And, Literal, Or, Proposition, State, ambient_dim_of,
+                      leaves, truth)
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 2000
+LEAF_BUDGET = 12
 
 
 class OppositionError(Exception):
@@ -34,7 +45,6 @@ class Relation(enum.Enum):
     SUBALTERN = "Subaltern"
     EQUIVALENT = "Equivalent"
     INDEPENDENT = "Independent"
-    UNDECIDED = "Undecided"
 
     def __str__(self):
         return self.value
@@ -79,103 +89,112 @@ def _check_same_ambient(p: Proposition, q: Proposition) -> int:
     return dp
 
 
-def _shared_family(p: Proposition, q: Proposition) -> OrthoFamily | None:
+# --- membership patterns ----------------------------------------------------
+
+def _candidates(basis: np.ndarray, k: int, eps: float):
+    """States spanned by the d columns of basis: the columns, then the
+    moment curve sum_m s^m b_m for s = 1, 2, ..., k*d + 1.  Any d points
+    of the curve are independent (Vandermonde), so a proper subspace of the
+    span holds fewer than d of them and k such subspaces cannot hold all.
+    The coefficient vector is normalized before combining, so s = 1 is the
+    equal-weight superposition of the columns.  For d = 1 every point of
+    the curve is the column itself."""
+    d = basis.shape[1]
+    for m in range(d):
+        yield State(basis[:, m], eps)
+    if d > 1:
+        for s in range(1, k * d + 2):
+            c = float(s) ** np.arange(d)
+            c /= np.linalg.norm(c)
+            yield State.normalized(sum(x * basis[:, m] for m, x in enumerate(c)), eps)
+
+
+def _patterns(p: Proposition, q: Proposition, eps: float):
+    """(leaf index, realizable patterns) for the leaves of p and q.
+
+    The leaf index maps id(subspace) to its position among the distinct
+    leaf subspaces, in order of appearance.  Each pattern is a pair
+    (frozenset of positions, witness state), found by a depth-first walk
+    over subsets that skips every superset of an empty meet.  For the
+    empty pattern the whole space is spanned by the eigenbasis of the first
+    leaf's orthogonal family when it has one, so that witness is an
+    eigenstate, or an equal-weight superposition of eigenstates, of the
+    observable in play."""
+    n = _check_same_ambient(p, q)
     lits = leaves(p) + leaves(q)
-    fams = [lit.family for lit in lits]
-    if any(f is None for f in fams) or any(lit.member is None for lit in lits):
-        return None
-    first = fams[0]
-    if all(f is first for f in fams):
-        return first
-    return None
+    subs = list({id(lit.subspace): lit.subspace for lit in lits}.values())
+    if len(subs) > LEAF_BUDGET:
+        raise OppositionError(
+            f"{len(subs)} distinct leaf subspaces exceed the leaf budget of "
+            f"{LEAF_BUDGET}: deciding enumerates up to 2^{len(subs)} membership patterns")
+    fam = lits[0].family
+    whole = (np.hstack([sub.basis for _, sub in fam.members]) if fam is not None
+             else np.eye(n, dtype=complex))
+    found = []
+
+    def walk(inside: frozenset, meet, start: int) -> None:
+        basis = whole if meet is None else meet.basis
+        for st in _candidates(basis, len(subs), eps):
+            if all(sub.contains(st.vector, eps) == (j in inside)
+                   for j, sub in enumerate(subs)):
+                found.append((inside, st))
+                break
+        for j in range(start, len(subs)):
+            nxt = subs[j] if meet is None else meet.intersect(subs[j], eps)
+            if not nxt.is_zero():
+                walk(inside | {j}, nxt, j + 1)
+
+    walk(frozenset(), None, 0)
+    return {id(sub): j for j, sub in enumerate(subs)}, found
 
 
-# --- cell calculus over one orthogonal family ---------------------------
-#
-# For a complete pairwise-orthogonal family {S_1..S_k} a membership
-# pattern is realizable iff it asserts membership in at most one nonzero
-# S_i, or in none at all provided at least two members are nonzero (a
-# genuine superposition needs two components).  Cells are encoded as the
-# member index, or -1 for "in no member".
-
-def _realizable_cells(family: OrthoFamily):
-    nonzero = [i for i, (_, sub) in enumerate(family.members) if sub.dim > 0]
-    cells = list(nonzero)
-    if len(nonzero) >= 2:
-        cells.append(-1)
-    return cells
-
-
-def _truth_in_cell(p: Proposition, cell: int, family: OrthoFamily) -> bool:
+def _holds(p: Proposition, inside: frozenset, index: dict) -> bool:
+    """Truth of p at every state whose membership pattern is `inside`."""
     if isinstance(p, Literal):
-        idx = family.labels.index(p.member)
-        inside = (cell == idx)
-        return inside if p.asserted else not inside
+        return (index[id(p.subspace)] in inside) == p.asserted
     if isinstance(p, And):
-        return all(_truth_in_cell(part, cell, family) for part in p.parts)
-    return any(_truth_in_cell(part, cell, family) for part in p.parts)
+        return all(_holds(part, inside, index) for part in p.parts)
+    return any(_holds(part, inside, index) for part in p.parts)
 
 
-def _cell_witness(cell: int, family: OrthoFamily, eps: float) -> State:
-    if cell >= 0:
-        return State(family.members[cell][1].basis[:, 0], eps)
-    nonzero = [sub for _, sub in family.members if sub.dim > 0]
-    a = State(nonzero[0].basis[:, 0], eps)
-    b = State(nonzero[1].basis[:, 0], eps)
-    c = 1.0 / np.sqrt(2.0)
-    return superpose([c, c], [a, b], eps)
+def _truth_pairs(p: Proposition, q: Proposition, patterns) -> dict:
+    """Each realizable (truth of p, truth of q) pair with the witness state
+    of the first pattern that realizes it."""
+    index, found = patterns
+    pairs = {}
+    for inside, st in found:
+        pairs.setdefault((_holds(p, inside, index), _holds(q, inside, index)), st)
+    return pairs
 
 
-# --- exact rules for a pair of arbitrary literals ------------------------
-
-def _outside_both(sa: Subspace, sb: Subspace, eps: float) -> State:
-    """A unit vector outside two proper subspaces.  Exists because the
-    union of two proper subspaces never covers a complex vector space."""
-    ca, cb = sa.orthocomplement(eps), sb.orthocomplement(eps)
-    for i in range(ca.dim):
-        v = ca.basis[:, i]
-        if not sb.contains(v, eps):
-            return State(v, eps)
-    for i in range(cb.dim):
-        w = cb.basis[:, i]
-        if not sa.contains(w, eps):
-            return State(w, eps)
-    # every vector of sa-perp lies in sb and vice versa: mix one of each
-    v, w = ca.basis[:, 0], cb.basis[:, 0]
-    return State.normalized(v + w, eps)
-
-
-def _literal_both_true(p: Literal, q: Literal, eps: float):
-    sa, sb = p.subspace, q.subspace
-    if p.asserted and q.asserted:
-        inter = sa.intersect(sb, eps)
-        if inter.is_zero():
-            return False, None
-        return True, State(inter.basis[:, 0], eps)
-    if p.asserted and not q.asserted:
-        for i in range(sa.dim):
-            v = sa.basis[:, i]
-            if not sb.contains(v, eps):
-                return True, State(v, eps)
+def _both(p, q, pairs: dict, value: bool):
+    st = pairs.get((value, value))
+    if st is None:
         return False, None
-    if not p.asserted and q.asserted:
-        got, st = _literal_both_true(q, p, eps)
-        return got, st
-    # both negated: possible iff neither subspace is the whole space
-    if sa.is_full() or sb.is_full():
-        return False, None
-    return True, _outside_both(sa, sb, eps)
+    return True, Witness(st, (p, q), (value, value))
 
 
-def _literal_entails(p: Literal, q: Literal, eps: float) -> bool:
-    sa, sb = p.subspace, q.subspace
-    if p.asserted and q.asserted:
-        return sa.is_subset(sb, eps)
-    if p.asserted and not q.asserted:
-        return sa.intersect(sb, eps).is_zero()
-    if not p.asserted and q.asserted:
-        return sb.is_full() or sa.is_full()
-    return sb.is_subset(sa, eps)
+def _classify(p: Proposition, q: Proposition, patterns) -> Classification:
+    pairs = _truth_pairs(p, q, patterns)
+    ct, wt = _both(p, q, pairs, True)
+    cf, wf = _both(p, q, pairs, False)
+    witnesses = {k: w for k, w in (("both_true", wt), ("both_false", wf))
+                 if w is not None}
+    if not ct and not cf:
+        return Classification(Relation.CONTRADICTORY, witnesses=witnesses)
+    if not ct:
+        return Classification(Relation.CONTRARY, witnesses=witnesses)
+    if not cf:
+        return Classification(Relation.SUBCONTRARY, witnesses=witnesses)
+    fwd = (True, False) not in pairs
+    bwd = (False, True) not in pairs
+    if fwd and bwd:
+        return Classification(Relation.EQUIVALENT, witnesses=witnesses)
+    if fwd:
+        return Classification(Relation.SUBALTERN, "forward", witnesses)
+    if bwd:
+        return Classification(Relation.SUBALTERN, "backward", witnesses)
+    return Classification(Relation.INDEPENDENT, witnesses=witnesses)
 
 
 # --- public decision procedures ------------------------------------------
@@ -233,88 +252,24 @@ def random_witness_search(props, pattern, seed: int = DEFAULT_SEED,
     return None
 
 
-def can_both_be_true(p: Proposition, q: Proposition, eps: float = EPS,
-                     seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
-    """(answer, witness): answer is True/False when decided exactly or a
-    witness was found, None when undecided (mixed-family compound with no
-    witness within the search budget)."""
-    _check_same_ambient(p, q)
-    fam = _shared_family(p, q)
-    if fam is not None:
-        for cell in _realizable_cells(fam):
-            if _truth_in_cell(p, cell, fam) and _truth_in_cell(q, cell, fam):
-                st = _cell_witness(cell, fam, eps)
-                return True, Witness(st, (p, q), (True, True))
-        return False, None
-    if isinstance(p, Literal) and isinstance(q, Literal):
-        got, st = _literal_both_true(p, q, eps)
-        if got:
-            return True, Witness(st, (p, q), (True, True))
-        return False, None
-    w = random_witness_search((p, q), (True, True), seed, trials, eps)
-    if w is not None:
-        return True, w
-    return None, None
+def can_both_be_true(p: Proposition, q: Proposition, eps: float = EPS):
+    """(answer, witness): (True, a state making both true) or (False, None)."""
+    return _both(p, q, _truth_pairs(p, q, _patterns(p, q, eps)), True)
 
 
-def can_both_be_false(p: Proposition, q: Proposition, eps: float = EPS,
-                      seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
-    """Dual of can_both_be_true: falsity of a proposition is truth of its
-    negation."""
-    got, w = can_both_be_true(p.negate(), q.negate(), eps, seed, trials)
-    if w is not None:
-        w = Witness(w.state, (p, q), (False, False))
-    return got, w
+def can_both_be_false(p: Proposition, q: Proposition, eps: float = EPS):
+    """(answer, witness): (True, a state making both false) or (False, None)."""
+    return _both(p, q, _truth_pairs(p, q, _patterns(p, q, eps)), False)
 
 
-def entails(p: Proposition, q: Proposition, eps: float = EPS,
-            seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> bool | None:
-    """Does every state making p true make q true?  Exact for literals and
-    single-family compounds; None when only a failed counterexample search
-    is available."""
-    _check_same_ambient(p, q)
-    fam = _shared_family(p, q)
-    if fam is not None:
-        return all(_truth_in_cell(q, cell, fam)
-                   for cell in _realizable_cells(fam)
-                   if _truth_in_cell(p, cell, fam))
-    if isinstance(p, Literal) and isinstance(q, Literal):
-        return _literal_entails(p, q, eps)
-    counter = random_witness_search((p, q), (True, False), seed, trials, eps)
-    if counter is not None:
-        return False
-    return None
+def entails(p: Proposition, q: Proposition, eps: float = EPS) -> bool:
+    """Does every state making p true make q true?"""
+    return (True, False) not in _truth_pairs(p, q, _patterns(p, q, eps))
 
 
-def classify(p: Proposition, q: Proposition, eps: float = EPS,
-             seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> Classification:
+def classify(p: Proposition, q: Proposition, eps: float = EPS) -> Classification:
     """Classify the opposition relation between two propositions."""
-    ct, wt = can_both_be_true(p, q, eps, seed, trials)
-    cf, wf = can_both_be_false(p, q, eps, seed, trials)
-    witnesses = {}
-    if wt is not None:
-        witnesses["both_true"] = wt
-    if wf is not None:
-        witnesses["both_false"] = wf
-    if ct is None or cf is None:
-        return Classification(Relation.UNDECIDED, witnesses=witnesses)
-    if not ct and not cf:
-        return Classification(Relation.CONTRADICTORY, witnesses=witnesses)
-    if not ct:
-        return Classification(Relation.CONTRARY, witnesses=witnesses)
-    if not cf:
-        return Classification(Relation.SUBCONTRARY, witnesses=witnesses)
-    fwd = entails(p, q, eps, seed, trials)
-    bwd = entails(q, p, eps, seed, trials)
-    if fwd is None or bwd is None:
-        return Classification(Relation.UNDECIDED, witnesses=witnesses)
-    if fwd and bwd:
-        return Classification(Relation.EQUIVALENT, witnesses=witnesses)
-    if fwd:
-        return Classification(Relation.SUBALTERN, "forward", witnesses)
-    if bwd:
-        return Classification(Relation.SUBALTERN, "backward", witnesses)
-    return Classification(Relation.INDEPENDENT, witnesses=witnesses)
+    return _classify(p, q, _patterns(p, q, eps))
 
 
 # --- square and hexagon ---------------------------------------------------
@@ -359,8 +314,10 @@ class Polygon:
         return tuple(self.positions.keys())
 
 
-def _build(a: Proposition, e: Proposition, names, pattern, eps, seed, trials) -> Polygon:
-    base = classify(a, e, eps, seed, trials)
+def _build(a: Proposition, e: Proposition, names, pattern, eps) -> Polygon:
+    # every corner's leaves are leaves of a or e: one enumeration serves all
+    patterns = _patterns(a, e, eps)
+    base = _classify(a, e, patterns)
     if base.relation is not Relation.CONTRARY:
         raise OppositionError(
             f"base pair is {base.describe('A', 'E')}, not Contrary; "
@@ -373,7 +330,7 @@ def _build(a: Proposition, e: Proposition, names, pattern, eps, seed, trials) ->
     deviations = []
     for i, x in enumerate(names):
         for y in names[i + 1:]:
-            c = classify(positions[x], positions[y], eps, seed, trials)
+            c = _classify(positions[x], positions[y], patterns)
             relations[(x, y)] = c
             want_rel, want_dir = pattern[(x, y)]
             if (c.relation, c.direction) != (want_rel, want_dir):
@@ -381,11 +338,9 @@ def _build(a: Proposition, e: Proposition, names, pattern, eps, seed, trials) ->
     return Polygon(positions, relations, tuple(deviations))
 
 
-def build_square(a: Proposition, e: Proposition, eps: float = EPS,
-                 seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> Polygon:
-    return _build(a, e, SQUARE_POSITIONS, SQUARE_PATTERN, eps, seed, trials)
+def build_square(a: Proposition, e: Proposition, eps: float = EPS) -> Polygon:
+    return _build(a, e, SQUARE_POSITIONS, SQUARE_PATTERN, eps)
 
 
-def build_hexagon(a: Proposition, e: Proposition, eps: float = EPS,
-                  seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> Polygon:
-    return _build(a, e, HEXAGON_POSITIONS, HEXAGON_PATTERN, eps, seed, trials)
+def build_hexagon(a: Proposition, e: Proposition, eps: float = EPS) -> Polygon:
+    return _build(a, e, HEXAGON_POSITIONS, HEXAGON_PATTERN, eps)

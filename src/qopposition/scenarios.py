@@ -16,8 +16,7 @@ import numpy as np
 
 from . import lp
 from .linalg import EPS, Subspace, gram_schmidt
-from .opposition import (DEFAULT_SEED, DEFAULT_TRIALS, build_hexagon,
-                         build_square, classify)
+from .opposition import build_hexagon, build_square, classify
 from .quantum import (And, Literal, Observable, Or, OrthoFamily, Proposition,
                       State, born, minimal_attribution,
                       paraconsistent_attribution, superpose)
@@ -383,8 +382,7 @@ _BUILDERS = {
 
 # --- query execution ------------------------------------------------------
 
-def run_query(sc: Scenario, query: dict, eps: float = EPS,
-              seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> dict:
+def run_query(sc: Scenario, query: dict, eps: float = EPS) -> dict:
     """Execute one scenario query; returns a JSON-compatible result dict."""
     if not (isinstance(query, dict) and "op" in query):
         raise ScenarioError(f"malformed query {query!r}")
@@ -395,7 +393,7 @@ def run_query(sc: Scenario, query: dict, eps: float = EPS,
     if op == "classify":
         p = sc.resolve_proposition(args["p"])
         q = sc.resolve_proposition(args["q"])
-        c = classify(p, q, eps, seed, trials)
+        c = classify(p, q, eps)
         out["relation"] = c.describe(args["p"], args["q"])
         out["witnesses"] = {k: _vec_out(w.state.vector)
                             for k, w in sorted(c.witnesses.items())}
@@ -403,7 +401,7 @@ def run_query(sc: Scenario, query: dict, eps: float = EPS,
         a = sc.resolve_proposition(args["a"])
         e = sc.resolve_proposition(args["e"])
         build = build_square if op == "square" else build_hexagon
-        poly = build(a, e, eps, seed, trials)
+        poly = build(a, e, eps)
         out["relations"] = {f"{x}-{y}": c.describe(x, y)
                             for (x, y), c in sorted(poly.relations.items())}
         out["deviations"] = [list(d) for d in poly.deviations]
@@ -444,6 +442,5 @@ def run_query(sc: Scenario, query: dict, eps: float = EPS,
     return out
 
 
-def run_all(sc: Scenario, eps: float = EPS, seed: int = DEFAULT_SEED,
-            trials: int = DEFAULT_TRIALS) -> list:
-    return [run_query(sc, q, eps, seed, trials) for q in sc.queries]
+def run_all(sc: Scenario, eps: float = EPS) -> list:
+    return [run_query(sc, q, eps) for q in sc.queries]

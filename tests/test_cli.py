@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from qopposition.cli import (EXIT_NOT_CONSEQUENCE, EXIT_OK, EXIT_UNDECIDED,
-                             EXIT_UNSAT, EXIT_USAGE, main)
+from qopposition.cli import (EXIT_NOT_CONSEQUENCE, EXIT_OK, EXIT_UNSAT,
+                             EXIT_USAGE, main)
 
 
 def run(capsys, *argv):

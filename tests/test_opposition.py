@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qopposition.linalg import EPS, Subspace, gram_schmidt
-from qopposition.opposition import (OppositionError, Relation, build_hexagon,
-                                    build_square, can_both_be_false,
-                                    can_both_be_true, classify, entails,
-                                    random_witness_search)
-from qopposition.quantum import (And, Literal, Or, OrthoFamily, truth,
-                                 minimal_attribution)
+from qopposition.opposition import (LEAF_BUDGET, OppositionError, Relation,
+                                    build_hexagon, build_square,
+                                    can_both_be_false, can_both_be_true,
+                                    classify, entails, random_witness_search)
+from qopposition.quantum import (And, Literal, Or, OrthoFamily, State, leaves,
+                                 truth, minimal_attribution)
 
 from helpers import (apply_unitary_literal, haar_unitary, random_literal,
                      random_state, random_subspace)
@@ -318,3 +318,159 @@ class TestOracleAgreement:
                 assert w is not None and w.replay(), (p, q, pattern)
                 if generic_cell((p, q), pattern):
                     assert found is not None, (p, q, pattern)
+
+
+# --- the exact pattern decider ----------------------------------------------
+
+def line(*vec):
+    return gram_schmidt([np.asarray(vec, dtype=complex)])
+
+
+# which witnesses each relation implies: (both true possible, both false possible)
+POSSIBLE = {
+    Relation.CONTRARY: (False, True),
+    Relation.SUBCONTRARY: (True, False),
+    Relation.CONTRADICTORY: (False, False),
+    Relation.SUBALTERN: (True, True),
+}
+
+
+class TestMixedSubspaces:
+    def test_or_of_non_orthogonal_lines_is_subaltern(self):
+        up_z, up_x = Literal(line(1, 0)), Literal(line(R2, R2))
+        c = classify(Or((up_z, up_x)), up_z)
+        assert (c.relation, c.direction) == (Relation.SUBALTERN, "backward")
+        assert set(c.witnesses) == {"both_true", "both_false"}
+        assert all(w.replay() for w in c.witnesses.values())
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_untagged_orthogonal_lines_hexagon(self, n):
+        a = Literal(line(*np.eye(n)[0]), name="A")
+        e = Literal(line(*np.eye(n)[1]), name="E")
+        hx = build_hexagon(a, e)
+        assert hx.deviations == ()
+        for (x, y), c in hx.relations.items():
+            if "U" in (x, y) or "Y" in (x, y):
+                present = ("both_true" in c.witnesses, "both_false" in c.witnesses)
+                assert present == POSSIBLE[c.relation], (x, y)
+            assert all(w.replay() for w in c.witnesses.values()), (x, y)
+
+    def test_state_in_no_line_is_the_equal_weight_superposition(self):
+        # both basis vectors of C^2 lie in a line, so the witness for "in
+        # neither" comes from the moment curve at s = 1
+        a, e = Literal(line(1, 0)), Literal(line(0, 1))
+        got, w = can_both_be_false(a, e)
+        assert got is True
+        assert np.allclose(w.state.vector, [R2, R2])
+
+
+class TestLeafBudget:
+    @staticmethod
+    def lines(k):
+        rng = np.random.default_rng(131)
+        return [Literal(random_subspace(2, 1, rng)) for _ in range(k)]
+
+    def test_budget_plus_one_is_refused(self):
+        ls = self.lines(LEAF_BUDGET + 1)
+        p, q = Or(tuple(ls[:6])), Or(tuple(ls[6:]))
+        for decide in (classify, can_both_be_true, entails, build_hexagon):
+            with pytest.raises(OppositionError, match="13") as err:
+                decide(p, q)
+            assert "12" in str(err.value)
+
+    def test_budget_is_decided(self):
+        ls = self.lines(LEAF_BUDGET)
+        p, q = Or(tuple(ls[:6])), Or(tuple(ls[6:]))
+        c = classify(p, q)
+        assert c.relation is Relation.CONTRARY
+        assert c.witnesses["both_false"].replay()
+        assert build_hexagon(p, q).deviations == ()
+
+
+def meet_basis(subspaces, n):
+    """Orthonormal basis of the intersection, as the numpy null space of
+    the stacked I - P_i (the whole space for no subspaces)."""
+    if not subspaces:
+        return np.eye(n, dtype=complex)
+    stacked = np.vstack([np.eye(n) - s.projector() for s in subspaces])
+    _, sv, vh = np.linalg.svd(stacked)
+    return vh[int(np.sum(sv > 1e-8)):].conj().T
+
+
+def realizable_pairs(p, q, rng):
+    """Truth pairs seen at Haar-random states drawn inside every meet of
+    the leaf subspaces: a random state of a meet lies in no further leaf
+    unless the whole meet does, so every realizable pattern shows up."""
+    subs = list({id(l.subspace): l.subspace for l in leaves(p) + leaves(q)}.values())
+    n = subs[0].ambient_dim
+    seen = set()
+    for mask in range(1 << len(subs)):
+        basis = meet_basis([s for j, s in enumerate(subs) if mask >> j & 1], n)
+        for _ in range(3 if basis.shape[1] else 0):
+            z = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+            psi = State.normalized(basis @ z)
+            seen.add((truth(p, psi), truth(q, psi)))
+    return seen
+
+
+def relation_of(pairs):
+    """The square-of-opposition taxonomy over a set of realizable pairs."""
+    tt, ff = (True, True) in pairs, (False, False) in pairs
+    if not (tt or ff):
+        return Relation.CONTRADICTORY, None
+    if not tt:
+        return Relation.CONTRARY, None
+    if not ff:
+        return Relation.SUBCONTRARY, None
+    fwd, bwd = (True, False) not in pairs, (False, True) not in pairs
+    if fwd and bwd:
+        return Relation.EQUIVALENT, None
+    if fwd or bwd:
+        return Relation.SUBALTERN, "forward" if fwd else "backward"
+    return Relation.INDEPENDENT, None
+
+
+@st.composite
+def compound_pair(draw):
+    """Two And/Or compounds of depth <= 2 over 1-3 random subspaces of
+    C^2..C^4 (trivial ones included); sometimes the last subspace is the
+    first joined with a random line, so that one leaf nests in another."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    subs = [random_subspace(n, draw(st.integers(0, n)), rng)
+            for _ in range(draw(st.integers(1, 3)))]
+    if len(subs) > 1 and draw(st.booleans()):
+        subs[-1] = subs[0].join(random_subspace(n, 1, rng))
+
+    def prop(depth):
+        if depth == 0 or draw(st.booleans()):
+            return Literal(subs[draw(st.integers(0, len(subs) - 1))], draw(st.booleans()))
+        parts = tuple(prop(depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return And(parts) if draw(st.booleans()) else Or(parts)
+
+    return prop(2), prop(2), draw(st.integers(0, 2**32 - 1))
+
+
+class TestExactOracle:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(compound_pair())
+    def test_decisions_match_sampling_inside_meets(self, case):
+        p, q, seed = case
+        want = realizable_pairs(p, q, np.random.default_rng(seed))
+        got = set()
+        for value, (ok, w) in ((True, can_both_be_true(p, q)),
+                               (False, can_both_be_false(p, q))):
+            assert (w is not None) == ok and (w is None or w.replay())
+            if ok:
+                got.add((value, value))
+        if not entails(p, q):
+            got.add((True, False))
+        if not entails(q, p):
+            got.add((False, True))
+        assert got == want
+        c = classify(p, q)
+        assert (c.relation, c.direction) == relation_of(want)
+        assert set(c.witnesses) == {k for k, v in (("both_true", True), ("both_false", False))
+                                    if (v, v) in want}
+        assert all(w.replay() for w in c.witnesses.values())
+        assert c == classify(q, p).swapped()
