@@ -10,9 +10,10 @@ subspaces, so a short deterministic search over T_I finds that state
 whenever T_I lies in no such S_j.  The four questions (can both be true?
 can both be false? does either entail the other?) are read off the
 realizable patterns, every positive answer carries its pattern's witness,
-and the relation follows from the square-of-opposition taxonomy.  Inputs
-with more than LEAF_BUDGET distinct leaf subspaces are refused up front,
-since the enumeration doubles with each leaf.
+and the relation follows from the square-of-opposition taxonomy.  The walk
+visits each nonzero meet once: orthogonal leaves have few, while k generic
+hyperplanes have up to 2^k, so a decision is refused once it has visited
+more than MEET_BUDGET of them.
 
 `random_witness_search` samples Haar-random states.  No decision uses it;
 the tests keep it as an independent oracle.
@@ -31,7 +32,7 @@ from .quantum import (And, Literal, Or, Proposition, State, ambient_dim_of,
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 2000
-LEAF_BUDGET = 12
+MEET_BUDGET = 2 ** 12
 
 
 class OppositionError(Exception):
@@ -93,18 +94,21 @@ def _check_same_ambient(p: Proposition, q: Proposition) -> int:
 
 def _candidates(basis: np.ndarray, k: int, eps: float):
     """States spanned by the d columns of basis: the columns, then the
-    moment curve sum_m s^m b_m for s = 1, 2, ..., k*d + 1.  Any d points
-    of the curve are independent (Vandermonde), so a proper subspace of the
+    moment curve sum_m s^m b_m at the k*d + 1 roots of unity
+    s = exp(2 pi i t / (k*d + 1)).  Any d points of the curve are
+    independent (Vandermonde at distinct nodes), so a proper subspace of the
     span holds fewer than d of them and k such subspaces cannot hold all.
-    The coefficient vector is normalized before combining, so s = 1 is the
-    equal-weight superposition of the columns.  For d = 1 every point of
-    the curve is the column itself."""
+    The nodes have unit modulus, so every coefficient has size 1/sqrt(d)
+    and no point drifts towards a coordinate hyperplane as d grows; t = 0
+    is the equal-weight superposition of the columns.  For d = 1 every
+    point of the curve is the column itself."""
     d = basis.shape[1]
     for m in range(d):
         yield State(basis[:, m], eps)
     if d > 1:
-        for s in range(1, k * d + 2):
-            c = float(s) ** np.arange(d)
+        nodes = k * d + 1
+        for t in range(nodes):
+            c = np.exp(2j * np.pi * t / nodes * np.arange(d))
             c /= np.linalg.norm(c)
             yield State.normalized(sum(x * basis[:, m] for m, x in enumerate(c)), eps)
 
@@ -115,7 +119,8 @@ def _patterns(p: Proposition, q: Proposition, eps: float):
     The leaf index maps id(subspace) to its position among the distinct
     leaf subspaces, in order of appearance.  Each pattern is a pair
     (frozenset of positions, witness state), found by a depth-first walk
-    over subsets that skips every superset of an empty meet.  For the
+    over subsets that skips every superset of an empty meet and raises
+    OppositionError past MEET_BUDGET nonzero meets.  For the
     empty pattern the whole space is spanned by the eigenbasis of the first
     leaf's orthogonal family when it has one, so that witness is an
     eigenstate, or an equal-weight superposition of eigenstates, of the
@@ -123,16 +128,19 @@ def _patterns(p: Proposition, q: Proposition, eps: float):
     n = _check_same_ambient(p, q)
     lits = leaves(p) + leaves(q)
     subs = list({id(lit.subspace): lit.subspace for lit in lits}.values())
-    if len(subs) > LEAF_BUDGET:
-        raise OppositionError(
-            f"{len(subs)} distinct leaf subspaces exceed the leaf budget of "
-            f"{LEAF_BUDGET}: deciding enumerates up to 2^{len(subs)} membership patterns")
     fam = lits[0].family
     whole = (np.hstack([sub.basis for _, sub in fam.members]) if fam is not None
              else np.eye(n, dtype=complex))
     found = []
+    visited = 0
 
     def walk(inside: frozenset, meet, start: int) -> None:
+        nonlocal visited
+        visited += 1
+        if visited > MEET_BUDGET:
+            raise OppositionError(
+                f"{len(subs)} leaf subspaces have more than {MEET_BUDGET} nonzero "
+                f"meets (the meet budget); deciding visits each of them")
         basis = whole if meet is None else meet.basis
         for st in _candidates(basis, len(subs), eps):
             if all(sub.contains(st.vector, eps) == (j in inside)

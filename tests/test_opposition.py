@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qopposition.linalg import EPS, Subspace, gram_schmidt
-from qopposition.opposition import (LEAF_BUDGET, OppositionError, Relation,
+from qopposition import opposition
+from qopposition.opposition import (MEET_BUDGET, OppositionError, Relation,
                                     build_hexagon, build_square,
                                     can_both_be_false, can_both_be_true,
                                     classify, entails, random_witness_search)
@@ -364,27 +365,71 @@ class TestMixedSubspaces:
         assert np.allclose(w.state.vector, [R2, R2])
 
 
-class TestLeafBudget:
-    @staticmethod
-    def lines(k):
-        rng = np.random.default_rng(131)
-        return [Literal(random_subspace(2, 1, rng)) for _ in range(k)]
+    def test_state_in_no_hyperplane_of_c16(self):
+        # C holds e_0 and the first three points of the real moment curve
+        # (1, s, ..., s^15)/|.|; A = span(e_1..e_15) holds every such point
+        # with s >= 4 to within eps, since its first coefficient is below
+        # 1e-9.  A generic state of C^16 lies in neither.
+        n = 16
+        curve = [float(s) ** np.arange(n) for s in (1, 2, 3)]
+        held = np.array([np.eye(n)[0]] + [c / np.linalg.norm(c) for c in curve])
+        normal = np.linalg.svd(held)[2][-1].conj()
+        a = Literal(Subspace(n, np.eye(n, dtype=complex)[:, 1:]))
+        c = Literal(gram_schmidt([normal]).orthocomplement())
+        got, w = can_both_be_false(a, c)
+        assert got is True and w.replay()
+        assert classify(a, c).relation is Relation.INDEPENDENT
 
-    def test_budget_plus_one_is_refused(self):
-        ls = self.lines(LEAF_BUDGET + 1)
-        p, q = Or(tuple(ls[:6])), Or(tuple(ls[6:]))
-        for decide in (classify, can_both_be_true, entails, build_hexagon):
-            with pytest.raises(OppositionError, match="13") as err:
+
+def generic_hyperplanes(n, k):
+    rng = np.random.default_rng(131)
+    return [Literal(random_subspace(n, n - 1, rng)) for _ in range(k)]
+
+
+def halves(ls):
+    return Or(tuple(ls[:len(ls) // 2])), Or(tuple(ls[len(ls) // 2:]))
+
+
+class TestMeetBudget:
+    def test_generic_hyperplanes_past_the_budget_are_refused(self):
+        # 13 generic hyperplanes of C^14 have 2^13 nonzero meets
+        p, q = halves(generic_hyperplanes(14, 13))
+        with pytest.raises(OppositionError, match="4096") as err:
+            classify(p, q)
+        assert "13 leaf subspaces" in str(err.value)
+
+    def test_every_entry_point_stops_at_the_budget(self, monkeypatch):
+        # 2^7 nonzero meets refused and 2^6 decided at a budget of 2^6
+        monkeypatch.setattr(opposition, "MEET_BUDGET", 2 ** 6)
+        p, q = halves(generic_hyperplanes(8, 7))
+        for decide in (classify, can_both_be_true, can_both_be_false, entails,
+                       build_square, build_hexagon):
+            with pytest.raises(OppositionError, match="64"):
                 decide(p, q)
-            assert "12" in str(err.value)
+        p, q = halves(generic_hyperplanes(8, 6))
+        assert classify(p, q).relation is Relation.INDEPENDENT
 
-    def test_budget_is_decided(self):
-        ls = self.lines(LEAF_BUDGET)
-        p, q = Or(tuple(ls[:6])), Or(tuple(ls[6:]))
+    def test_many_lines_of_c2_are_decided(self):
+        # pairwise meets of distinct lines are zero: k + 1 nonzero meets
+        p, q = halves(generic_hyperplanes(2, 16))
         c = classify(p, q)
         assert c.relation is Relation.CONTRARY
         assert c.witnesses["both_false"].replay()
         assert build_hexagon(p, q).deviations == ()
+
+    def test_single_family_compound_of_13_members_is_decided(self):
+        n = 16
+        basis = np.eye(n, dtype=complex)
+        family = OrthoFamily(n, [(f"m{j}", Subspace(n, basis[:, j:j + 1]))
+                                 for j in range(n)])
+        members = [lit(family, f"m{j}") for j in range(n)]
+        p = Or(tuple(members[:13]))
+        c = classify(p, members[13])
+        assert c.relation is Relation.CONTRARY
+        assert c.witnesses["both_false"].replay()
+        c = classify(p, Or(tuple(members[:14])))
+        assert (c.relation, c.direction) == (Relation.SUBALTERN, "forward")
+        assert build_hexagon(p, members[13]).deviations == ()
 
 
 def meet_basis(subspaces, n):
