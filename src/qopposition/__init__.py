@@ -1,9 +1,9 @@
 """Opposition relations between quantum propositions, the hexagon of
 opposition, and a paraconsistent (LP) propositional engine."""
 
-from .linalg import EPS, Subspace, gram_schmidt, hermitian_eig, inner
+from .linalg import EPS, Subspace, gram_schmidt, hermitian_eig
 from .quantum import (And, Literal, Observable, Or, OrthoFamily, State, born,
-                      collapse, family_from_observable, minimal_attribution,
+                      family_from_observable, minimal_attribution,
                       paraconsistent_attribution, superpose, truth)
 from .opposition import (Classification, Relation, Witness, build_hexagon,
                          build_square, can_both_be_false, can_both_be_true,

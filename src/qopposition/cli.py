@@ -3,6 +3,12 @@
 Subcommands: classify, square, hexagon, prob, attribute,
 lp {postulate,chain,check}, scenario {list,show,run}.
 
+Each of classify, square, hexagon, prob, attribute and lp is one query:
+the subcommand builds a query dict from its arguments, runs it through
+`scenarios.run_query` (the executor `scenario run` uses too) and renders
+the result without its op/args echo.  Only loading the scenario,
+`classify --check-witness` and rendering happen here.
+
 Output formats: text (default), json (canonical, byte-stable), dot
 (Graphviz, polygon commands only).  Exit codes: 0 ok, 1 UNSAT,
 2 usage/input error, 4 consequence false.
@@ -15,14 +21,12 @@ import json
 import os
 import sys
 
-from . import lp, scenarios
-from .linalg import EPS, LinalgError
-from .opposition import (DEFAULT_SEED, DEFAULT_TRIALS, OppositionError,
-                         Relation, build_hexagon, build_square, classify)
-from .quantum import (QuantumError, born, minimal_attribution,
-                      paraconsistent_attribution, truth)
+from . import lp
+from .linalg import EPS, LinalgError, check_eps
+from .opposition import OppositionError
+from .quantum import QuantumError, State, truth
 from .scenarios import (BUILTIN_NAMES, ScenarioError, Scenario, builtin,
-                        canonical_json, load_file, run_all, serialize)
+                        canonical_json, load_file, run_all, run_query, serialize)
 
 SCHEMA_VERSION = 1
 
@@ -45,40 +49,22 @@ def _load(name: str, eps: float) -> Scenario:
                    f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
 
-def _report(args, command: str, **results) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "eps": args.eps,
-        "seed": args.seed,
-        "trials": args.trials,
-        "results": results,
-        "warnings": results.pop("warnings", []),
-    }
-
-
-def _vec_out(v):
-    return [[float(x.real), float(x.imag)] for x in v]
-
-
-def _witness_out(w):
-    return {"state": _vec_out(w.state.vector), "pattern": list(w.pattern)}
-
-
-def _emit(report: dict, fmt: str, dot: str | None = None) -> None:
-    if fmt == "json":
-        print(canonical_json(report))
+def _emit(args, command: str, results: dict, warnings=(), dot: str | None = None) -> None:
+    """Print the report on a command in the requested format."""
+    if args.format == "json":
+        print(canonical_json({"schema": SCHEMA_VERSION, "command": command,
+                              "eps": args.eps, "results": results,
+                              "warnings": list(warnings)}))
         return
-    if fmt == "dot":
+    if args.format == "dot":
         if dot is None:
             raise CliError("dot output is only available for square/hexagon")
         print(dot)
         return
-    print(f"# {report['command']}  (eps={report['eps']:g}, seed={report['seed']}, "
-          f"trials={report['trials']})")
-    for w in report["warnings"]:
+    print(f"# {command}  (eps={args.eps:g})")
+    for w in warnings:
         print(f"warning: {w}")
-    _emit_text(report["results"])
+    _emit_text(results)
 
 
 def _inline(v) -> bool:
@@ -125,164 +111,82 @@ def _scalar(v) -> str:
 # --- DOT rendering --------------------------------------------------------
 
 _DOT_STYLE = {
-    Relation.CONTRADICTORY: 'style=dashed, dir=none',
-    Relation.CONTRARY: 'style=solid, dir=none',
-    Relation.SUBCONTRARY: 'style=dotted, dir=none',
-    Relation.EQUIVALENT: 'style=bold, dir=both',
-    Relation.INDEPENDENT: 'style=solid, color=gray, dir=none',
+    "Contradictory": 'style=dashed, dir=none',
+    "Contrary": 'style=solid, dir=none',
+    "Subcontrary": 'style=dotted, dir=none',
+    "Equivalent": 'style=bold, dir=both',
+    "Independent": 'style=solid, color=gray, dir=none',
 }
 
 
-def polygon_dot(poly, title: str) -> str:
+def polygon_dot(result: dict, title: str) -> str:
+    """Graphviz for a square/hexagon query result."""
     lines = [f'digraph "{title}" {{', '  node [shape=box];']
-    for name, prop in poly.positions.items():
-        lines.append(f'  "{name}" [label="{name}: {prop.display()}"];')
-    for (x, y), c in sorted(poly.relations.items()):
-        label = c.relation.value.lower()
-        if c.relation is Relation.SUBALTERN:
-            a, b = (x, y) if c.direction == "forward" else (y, x)
+    for name, display in result["positions"].items():
+        lines.append(f'  "{name}" [label="{name}: {display}"];')
+    for pair, r in result["relations"].items():
+        x, y = pair.split("-")
+        relation = r["relation"]
+        if relation.startswith("Subaltern"):
+            # "Subaltern (a -> b)": the edge runs from the entailing corner
+            a, b = relation[len("Subaltern ("):-1].split(" -> ")
             lines.append(f'  "{a}" -> "{b}" [label="subaltern"];')
         else:
-            lines.append(f'  "{x}" -> "{y}" [label="{label}", '
-                         f'{_DOT_STYLE[c.relation]}];')
+            lines.append(f'  "{x}" -> "{y}" [label="{relation.lower()}", '
+                         f'{_DOT_STYLE[relation]}];')
     lines.append("}")
     return "\n".join(lines)
 
 
 # --- subcommands ----------------------------------------------------------
 
-def cmd_classify(args) -> int:
-    sc = _load(args.scenario, args.eps)
-    p = sc.resolve_proposition(args.prop_a)
-    q = sc.resolve_proposition(args.prop_b)
-
-    if args.check_witness is not None:
-        raw = json.loads(args.check_witness)
-        from .quantum import State
-        psi = State.normalized([complex(a, b) for a, b in raw["state"]], args.eps)
-        pattern = [bool(x) for x in raw["pattern"]]
-        actual = [truth(p, psi, args.eps), truth(q, psi, args.eps)]
-        valid = actual == pattern
-        report = _report(args, "classify --check-witness",
-                         claimed=pattern, observed=actual, valid=valid,
-                         warnings=sc.warnings)
-        _emit(report, args.format)
-        return EXIT_OK if valid else EXIT_USAGE
-
-    c = classify(p, q, args.eps)
-    report = _report(
-        args, f"classify {args.scenario} {args.prop_a} {args.prop_b}",
-        relation=c.describe(args.prop_a, args.prop_b),
-        witnesses={k: _witness_out(w) for k, w in sorted(c.witnesses.items())},
-        warnings=sc.warnings)
-    _emit(report, args.format)
-    return EXIT_OK
+def _check_witness(args, sc: Scenario) -> int:
+    """Replay a claimed witness against the two propositions."""
+    p = sc.resolve_proposition(args.p)
+    q = sc.resolve_proposition(args.q)
+    raw = json.loads(args.check_witness)
+    state = raw.get("state") if isinstance(raw, dict) else None
+    pattern = raw.get("pattern") if isinstance(raw, dict) else None
+    number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+    if not (isinstance(state, list)
+            and all(isinstance(c, list) and len(c) == 2 and all(map(number, c))
+                    for c in state)
+            and isinstance(pattern, list) and len(pattern) == 2
+            and all(isinstance(b, bool) for b in pattern)):
+        raise CliError('--check-witness expects {"state": [[re, im], ...], '
+                       '"pattern": [bool, bool]}')
+    psi = State.normalized([complex(a, b) for a, b in state], args.eps)
+    observed = [truth(p, psi, args.eps), truth(q, psi, args.eps)]
+    valid = observed == pattern
+    _emit(args, "classify --check-witness",
+          {"claimed": pattern, "observed": observed, "valid": valid}, sc.warnings)
+    return EXIT_OK if valid else EXIT_USAGE
 
 
-def _cmd_polygon(args, which: str) -> int:
-    sc = _load(args.scenario, args.eps)
-    a = sc.resolve_proposition(args.prop_a)
-    e = sc.resolve_proposition(args.prop_e)
-    build = build_square if which == "square" else build_hexagon
-    poly = build(a, e, args.eps)
-    relations = {}
-    for (x, y), c in sorted(poly.relations.items()):
-        relations[f"{x}-{y}"] = {
-            "relation": c.describe(x, y),
-            "witnesses": {k: _witness_out(w) for k, w in sorted(c.witnesses.items())},
-        }
-    report = _report(
-        args, f"{which} {args.scenario} {args.prop_a} {args.prop_e}",
-        positions={n: p.display() for n, p in poly.positions.items()},
-        relations=relations,
-        deviations=[list(d) for d in poly.deviations],
-        warnings=sc.warnings)
-    _emit(report, args.format, dot=polygon_dot(poly, which))
-    return EXIT_OK
-
-
-def cmd_square(args) -> int:
-    return _cmd_polygon(args, "square")
-
-
-def cmd_hexagon(args) -> int:
-    return _cmd_polygon(args, "hexagon")
-
-
-def cmd_prob(args) -> int:
-    sc = _load(args.scenario, args.eps)
-    psi = sc.resolve_state(args.state)
-    fam = sc.resolve_family(args.family)
-    probs = {lab: born(psi, sub) for lab, sub in fam.members}
-    report = _report(args, f"prob {args.scenario} {args.state} {args.family}",
-                     probabilities=probs, total=sum(probs.values()),
-                     warnings=sc.warnings)
-    _emit(report, args.format)
-    return EXIT_OK
-
-
-def cmd_attribute(args) -> int:
-    sc = _load(args.scenario, args.eps)
-    psi = sc.resolve_state(args.state)
-    fam = sc.resolve_family(args.family)
-    if args.semantics == "minimal":
-        attributed = minimal_attribution(psi, fam, args.eps)
-    else:
-        attributed = paraconsistent_attribution(psi, fam, args.eps)
-    report = _report(
-        args, f"attribute {args.scenario} {args.state} {args.family}",
-        semantics=args.semantics,
-        attributed=sorted(attributed),
-        weights={lab: born(psi, sub) for lab, sub in fam.members},
-        warnings=sc.warnings)
-    _emit(report, args.format)
-    return EXIT_OK
-
-
-def _lp_exit(model, verdict) -> int:
-    if verdict is not None:
-        return EXIT_OK if verdict else EXIT_NOT_CONSEQUENCE
-    return EXIT_OK if model is not None else EXIT_UNSAT
-
-
-def _run_lp(args, constraints, command: str) -> int:
-    results = {
-        "mode": args.mode,
-        "constraints": [str(f) for f in constraints],
-    }
-    model = lp.satisfiable(constraints, args.mode)
-    results["satisfiable"] = model is not None
-    if model is not None:
-        results["model"] = {k: str(v) for k, v in sorted(model.items())}
-    verdict = None
-    if args.conclude:
-        conclusion = lp.parse_formula(args.conclude)
-        verdict = lp.consequence(constraints, conclusion, args.mode)
-        results["conclusion"] = str(conclusion)
-        results["consequence"] = verdict
-    if args.models:
-        results["models"] = [{k: str(v) for k, v in sorted(m.items())}
-                             for m in lp.models(constraints, args.mode)]
-    report = _report(args, command, **results)
-    _emit(report, args.format)
-    return _lp_exit(model, verdict)
-
-
-def cmd_lp(args) -> int:
-    if args.lp_command == "postulate":
-        constraints = lp.postulate_of_contradiction(args.labels)
-        return _run_lp(args, constraints, f"lp postulate {' '.join(args.labels)}")
-    if args.lp_command == "chain":
-        constraints = lp.equivalence_chain(args.labels)
-        return _run_lp(args, constraints, f"lp chain {' '.join(args.labels)}")
-    constraints = [lp.parse_formula(c) for c in args.constraint or []]
-    return _run_lp(args, constraints, "lp check")
+def cmd_query(args) -> int:
+    """Run the subcommand's query and render its result."""
+    sc = _load(args.scenario, args.eps) if "scenario" in args else None
+    if getattr(args, "check_witness", None) is not None:
+        return _check_witness(args, sc)
+    # unset options stay out of the query; an empty --conclude asks nothing
+    query_args = {k: v for k in args.keys
+                  if (v := getattr(args, k)) is not None and v is not False and v != ""}
+    result = run_query(sc, {"op": args.op, "args": query_args}, args.eps)
+    del result["op"], result["args"]
+    words = [args.op.replace("_", " ")]
+    for name in args.words:
+        value = getattr(args, name)
+        words += value if isinstance(value, list) else [value]
+    dot = polygon_dot(result, args.op) if args.op in ("square", "hexagon") else None
+    _emit(args, " ".join(words), result, sc.warnings if sc else (), dot)
+    if "consequence" in result:
+        return EXIT_OK if result["consequence"] else EXIT_NOT_CONSEQUENCE
+    return EXIT_OK if result.get("satisfiable", True) else EXIT_UNSAT
 
 
 def cmd_scenario(args) -> int:
     if args.scenario_command == "list":
-        report = _report(args, "scenario list", builtins=list(BUILTIN_NAMES))
-        _emit(report, args.format)
+        _emit(args, "scenario list", {"builtins": list(BUILTIN_NAMES)})
         return EXIT_OK
     sc = _load(args.name, args.eps)
     if args.scenario_command == "show":
@@ -295,10 +199,8 @@ def cmd_scenario(args) -> int:
             print(f"propositions: {', '.join(sorted(sc.propositions))}")
             print(f"queries: {len(sc.queries)}")
         return EXIT_OK
-    results = run_all(sc, args.eps)
-    report = _report(args, f"scenario run {args.name}",
-                     scenario=sc.name, queries=results, warnings=sc.warnings)
-    _emit(report, args.format)
+    results = {"scenario": sc.name, "queries": run_all(sc, args.eps)}
+    _emit(args, f"scenario run {args.name}", results, sc.warnings)
     return EXIT_OK
 
 
@@ -310,14 +212,17 @@ def _global_flags(p, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--eps", type=float, default=d(EPS),
                    help="decision tolerance (default 1e-9)")
-    p.add_argument("--seed", type=int, default=d(DEFAULT_SEED),
-                   help="echoed in the output header only; no decision "
-                        "uses it (default 42)")
-    p.add_argument("--trials", type=int, default=d(DEFAULT_TRIALS),
-                   help="echoed in the output header only; no decision "
-                        "uses it (default 2000)")
     p.add_argument("--format", choices=("text", "json", "dot"),
                    default=d("text"))
+
+
+def _query_parser(sub, common, op: str, words, keys, **kw):
+    """The subcommand that runs one `op` query.  `words` name the arguments
+    that follow the op in the command title; `keys` name the arguments the
+    query takes."""
+    p = sub.add_parser(op.removeprefix("lp_"), parents=[common], **kw)
+    p.set_defaults(func=cmd_query, op=op, words=words, keys=keys)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,51 +235,47 @@ def build_parser() -> argparse.ArgumentParser:
     _global_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="opposition relation between two propositions")
+    p = _query_parser(sub, common, "classify", ("scenario", "p", "q"), ("p", "q"),
+                      help="opposition relation between two propositions")
     p.add_argument("scenario")
-    p.add_argument("prop_a")
-    p.add_argument("prop_b")
+    p.add_argument("p", metavar="prop_a")
+    p.add_argument("q", metavar="prop_b")
     p.add_argument("--check-witness", metavar="JSON",
                    help='validate a witness: {"state": [[re,im],...], "pattern": [..]}')
-    p.set_defaults(func=cmd_classify)
 
-    for which, fn in (("square", cmd_square), ("hexagon", cmd_hexagon)):
-        p = sub.add_parser(which, parents=[common],
-                           help=f"build the {which} of opposition")
+    for which in ("square", "hexagon"):
+        p = _query_parser(sub, common, which, ("scenario", "a", "e"), ("a", "e"),
+                          help=f"build the {which} of opposition")
         p.add_argument("scenario")
-        p.add_argument("prop_a", help="the A corner")
-        p.add_argument("prop_e", help="the E corner")
-        p.set_defaults(func=fn)
+        p.add_argument("a", metavar="prop_a", help="the A corner")
+        p.add_argument("e", metavar="prop_e", help="the E corner")
 
-    p = sub.add_parser("prob", parents=[common],
-                       help="Born probabilities over a family")
-    p.add_argument("scenario")
-    p.add_argument("state")
-    p.add_argument("family")
-    p.set_defaults(func=cmd_prob)
-
-    p = sub.add_parser("attribute", parents=[common],
-                       help="property attribution at a state")
-    p.add_argument("scenario")
-    p.add_argument("state")
-    p.add_argument("family")
-    p.add_argument("--semantics", choices=("minimal", "paraconsistent"),
-                   default="minimal")
-    p.set_defaults(func=cmd_attribute)
+    words = ("scenario", "state", "family")
+    prob = _query_parser(sub, common, "prob", words, ("state", "family"),
+                         help="Born probabilities over a family")
+    attribute = _query_parser(sub, common, "attribute", words,
+                              ("state", "family", "semantics"),
+                              help="property attribution at a state")
+    for p in (prob, attribute):
+        for name in words:
+            p.add_argument(name)
+    attribute.add_argument("--semantics", choices=("minimal", "paraconsistent"),
+                           default="minimal")
 
     p = sub.add_parser("lp", help="three-valued / classical model checking")
     lpsub = p.add_subparsers(dest="lp_command", required=True)
+    lp_keys = ("mode", "conclude", "models")
     for name, helptext in (("postulate", "K and not-K per component"),
                            ("chain", "pairwise equivalences p_i <-> !p_j")):
-        q = lpsub.add_parser(name, parents=[common], help=helptext)
+        q = _query_parser(lpsub, common, f"lp_{name}", ("labels",),
+                          ("labels",) + lp_keys, help=helptext)
         q.add_argument("labels", nargs="+")
         _lp_flags(q)
-    q = lpsub.add_parser("check", parents=[common],
-                         help="check explicit constraint formulas")
-    q.add_argument("-c", "--constraint", action="append", metavar="FORMULA")
+    q = _query_parser(lpsub, common, "lp_check", (), ("constraints",) + lp_keys,
+                      help="check explicit constraint formulas")
+    q.add_argument("-c", "--constraint", dest="constraints", action="append",
+                   default=[], metavar="FORMULA")
     _lp_flags(q)
-    p.set_defaults(func=cmd_lp)
 
     p = sub.add_parser("scenario", help="list, show, or run scenarios")
     ssub = p.add_subparsers(dest="scenario_command", required=True)
@@ -400,7 +301,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        from .linalg import check_eps
         check_eps(args.eps)
         return args.func(args)
     except (CliError, ScenarioError, QuantumError, LinalgError, lp.LogicError,

@@ -57,19 +57,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def inner(u, v) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size != v.size:
-        raise DimensionMismatch(f"dimension mismatch: {u.size} vs {v.size}")
-    return complex(np.vdot(u, v))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
-
-
 def is_hermitian(m, eps: float = EPS) -> bool:
     a = as_matrix(m)
     return float(np.max(np.abs(a - a.conj().T))) < eps
@@ -151,10 +138,6 @@ class Subspace:
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
-    @staticmethod
-    def span(vectors, eps: float = EPS) -> "Subspace":
-        return gram_schmidt(vectors, eps)
-
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
@@ -223,9 +206,6 @@ class Subspace:
             return Subspace.full(self.ambient_dim)
         u, _, _ = np.linalg.svd(self.basis)
         return Subspace(self.ambient_dim, u[:, self.dim:], eps)
-
-    def equals(self, other: "Subspace", eps: float = EPS) -> bool:
-        return self.is_subset(other, eps) and other.is_subset(self, eps)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:

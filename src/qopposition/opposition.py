@@ -30,7 +30,6 @@ from .linalg import EPS, DimensionMismatch
 from .quantum import (And, Literal, Or, Proposition, State, ambient_dim_of,
                       leaves, truth)
 
-DEFAULT_SEED = 42
 DEFAULT_TRIALS = 2000
 MEET_BUDGET = 2 ** 12
 
@@ -228,7 +227,7 @@ def _truth_batch(p: Proposition, z: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def random_witness_search(props, pattern, seed: int = DEFAULT_SEED,
+def random_witness_search(props, pattern, seed: int,
                           trials: int = DEFAULT_TRIALS, eps: float = EPS) -> Witness | None:
     """Sample seeded Haar-like random unit states until one realizes the
     requested truth pattern; None if the budget runs out.  States are
@@ -316,10 +315,6 @@ class Polygon:
     positions: dict
     relations: dict
     deviations: tuple
-
-    @property
-    def names(self):
-        return tuple(self.positions.keys())
 
 
 def _build(a: Proposition, e: Proposition, names, pattern, eps) -> Polygon:

@@ -245,10 +245,3 @@ def family_from_observable(obs: Observable, eps: float = EPS) -> OrthoFamily:
         members.append((f"{value:g}", sub))
         i = j + 1
     return OrthoFamily(obs.dim, members, eps)
-
-
-def collapse(psi: State, s: Subspace, eps: float = EPS) -> State:
-    """Project onto the subspace and renormalize (single measurement step)."""
-    if born(psi, s) <= eps:
-        raise QuantumError("collapse onto a zero-probability branch")
-    return State.normalized(s.project(psi.vector), eps)

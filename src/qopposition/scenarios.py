@@ -1,4 +1,6 @@
-"""Built-in desk-scale scenarios plus a JSON scenario-file loader.
+"""Built-in desk-scale scenarios, a JSON scenario-file loader, and the
+one query executor, `run_query`, that `scenario run` and every other
+`qopp` subcommand share.
 
 A scenario bundles named states, observables, orthogonal families,
 propositions, and queries into a reproducible unit.  Serialization is
@@ -382,51 +384,81 @@ _BUILDERS = {
 
 # --- query execution ------------------------------------------------------
 
-def run_query(sc: Scenario, query: dict, eps: float = EPS) -> dict:
-    """Execute one scenario query; returns a JSON-compatible result dict."""
+def _witnesses_out(c) -> dict:
+    return {k: {"state": _vec_out(w.state.vector), "pattern": list(w.pattern)}
+            for k, w in sorted(c.witnesses.items())}
+
+
+def _ref(args: dict, key: str) -> str:
+    """A string argument: a proposition, state or family name, or a formula."""
+    value = args.get(key)
+    if not isinstance(value, str):
+        raise ScenarioError(f"query argument {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _strings(args: dict, key: str) -> list:
+    value = args.get(key)
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ScenarioError(f"query argument {key!r} must be a list of strings, "
+                            f"got {value!r}")
+    return value
+
+
+def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
+    """Execute one query and return its full JSON-compatible result: the
+    op and args, then what the op computed (witnesses with their
+    patterns, polygon positions, the probability total, LP models when
+    asked).  The LP ops need no scenario."""
     if not (isinstance(query, dict) and "op" in query):
         raise ScenarioError(f"malformed query {query!r}")
     op = query["op"]
     args = query.get("args", {})
+    if not isinstance(args, dict):
+        raise ScenarioError(f"query {op!r}: 'args' must be an object, got {args!r}")
     out = {"op": op, "args": args}
 
     if op == "classify":
-        p = sc.resolve_proposition(args["p"])
-        q = sc.resolve_proposition(args["q"])
-        c = classify(p, q, eps)
-        out["relation"] = c.describe(args["p"], args["q"])
-        out["witnesses"] = {k: _vec_out(w.state.vector)
-                            for k, w in sorted(c.witnesses.items())}
+        p_ref, q_ref = _ref(args, "p"), _ref(args, "q")
+        c = classify(sc.resolve_proposition(p_ref), sc.resolve_proposition(q_ref), eps)
+        out["relation"] = c.describe(p_ref, q_ref)
+        out["witnesses"] = _witnesses_out(c)
     elif op in ("square", "hexagon"):
-        a = sc.resolve_proposition(args["a"])
-        e = sc.resolve_proposition(args["e"])
+        a = sc.resolve_proposition(_ref(args, "a"))
+        e = sc.resolve_proposition(_ref(args, "e"))
         build = build_square if op == "square" else build_hexagon
         poly = build(a, e, eps)
-        out["relations"] = {f"{x}-{y}": c.describe(x, y)
+        out["positions"] = {n: p.display() for n, p in poly.positions.items()}
+        out["relations"] = {f"{x}-{y}": {"relation": c.describe(x, y),
+                                         "witnesses": _witnesses_out(c)}
                             for (x, y), c in sorted(poly.relations.items())}
         out["deviations"] = [list(d) for d in poly.deviations]
-    elif op == "prob":
-        psi = sc.resolve_state(args["state"])
-        fam = sc.resolve_family(args["family"])
-        out["probabilities"] = {lab: born(psi, sub) for lab, sub in fam.members}
-    elif op == "attribute":
-        psi = sc.resolve_state(args["state"])
-        fam = sc.resolve_family(args["family"])
-        semantics = args.get("semantics", "minimal")
-        if semantics == "minimal":
-            attributed = minimal_attribution(psi, fam, eps)
-        elif semantics == "paraconsistent":
-            attributed = paraconsistent_attribution(psi, fam, eps)
+    elif op in ("prob", "attribute"):
+        psi = sc.resolve_state(_ref(args, "state"))
+        fam = sc.resolve_family(_ref(args, "family"))
+        weights = {lab: born(psi, sub) for lab, sub in fam.members}
+        if op == "prob":
+            out["probabilities"] = weights
+            out["total"] = sum(weights.values())
         else:
-            raise ScenarioError(f"unknown semantics {semantics!r}")
-        out["semantics"] = semantics
-        out["attributed"] = sorted(attributed)
-        out["weights"] = {lab: born(psi, sub) for lab, sub in fam.members}
-    elif op in ("lp_postulate", "lp_chain"):
-        labels = [str(x) for x in args["labels"]]
+            semantics = args.get("semantics", "minimal")
+            if semantics == "minimal":
+                attributed = minimal_attribution(psi, fam, eps)
+            elif semantics == "paraconsistent":
+                attributed = paraconsistent_attribution(psi, fam, eps)
+            else:
+                raise ScenarioError(f"unknown semantics {semantics!r}")
+            out["semantics"] = semantics
+            out["attributed"] = sorted(attributed)
+            out["weights"] = weights
+    elif op in ("lp_postulate", "lp_chain", "lp_check"):
+        if op == "lp_check":
+            constraints = [lp.parse_formula(f) for f in _strings(args, "constraints")]
+        else:
+            make = (lp.postulate_of_contradiction if op == "lp_postulate"
+                    else lp.equivalence_chain)
+            constraints = make(_strings(args, "labels"))
         mode = args.get("mode", "lp")
-        make = lp.postulate_of_contradiction if op == "lp_postulate" else lp.equivalence_chain
-        constraints = make(labels)
         out["constraints"] = [str(f) for f in constraints]
         out["mode"] = mode
         model = lp.satisfiable(constraints, mode)
@@ -434,13 +466,30 @@ def run_query(sc: Scenario, query: dict, eps: float = EPS) -> dict:
         if model is not None:
             out["model"] = {k: str(v) for k, v in sorted(model.items())}
         if "conclude" in args:
-            conclusion = lp.parse_formula(args["conclude"])
+            conclusion = lp.parse_formula(_ref(args, "conclude"))
             out["conclusion"] = str(conclusion)
             out["consequence"] = lp.consequence(constraints, conclusion, mode)
+        if args.get("models"):
+            out["models"] = [{k: str(v) for k, v in sorted(m.items())}
+                             for m in lp.models(constraints, mode)]
     else:
         raise ScenarioError(f"unknown query op {op!r}")
     return out
 
 
+def _brief(result: dict) -> dict:
+    """A run_query result in the `scenario run` shape: bare witness
+    states, bare relation strings, no positions and no total."""
+    out = dict(result)
+    if out["op"] == "classify":
+        out["witnesses"] = {k: w["state"] for k, w in out["witnesses"].items()}
+    elif out["op"] in ("square", "hexagon"):
+        del out["positions"]
+        out["relations"] = {k: r["relation"] for k, r in out["relations"].items()}
+    elif out["op"] == "prob":
+        del out["total"]
+    return out
+
+
 def run_all(sc: Scenario, eps: float = EPS) -> list:
-    return [run_query(sc, q, eps) for q in sc.queries]
+    return [_brief(run_query(sc, q, eps)) for q in sc.queries]

@@ -56,6 +56,20 @@ class TestClassify:
         assert code == EXIT_USAGE
         assert doc["results"]["valid"] is False
 
+    @pytest.mark.parametrize("witness", [
+        "[]",
+        '{"state": 5, "pattern": [true, false]}',
+        '{"state": [[1, 0], [0, 0]], "pattern": [true]}',
+        '{"state": [[1, 0, 0], [0, 0]], "pattern": [true, false]}',
+        '{"state": [[1, 0], [0, 0]], "pattern": [1, 0]}',
+    ], ids=["list", "state-number", "one-entry-pattern", "three-part-component",
+            "integer-pattern"])
+    def test_check_witness_malformed(self, capsys, witness):
+        code, out, err = run(capsys, "classify", "spin_half_x", "u_x", "d_x",
+                             "--check-witness", witness)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --check-witness expects")
+
     def test_printed_witnesses_replay(self, capsys):
         """Every witness the command prints must validate via --check-witness."""
         _, doc = run_json(capsys, "classify", "spin_half_x", "u_x", "d_x")
@@ -209,6 +223,38 @@ class TestScenario:
         assert code == EXIT_OK
         assert doc["results"]["scenario"] == "three_level"
 
+    @pytest.mark.parametrize("query", [
+        {"op": "classify", "args": []},
+        {"op": "lp_postulate", "args": {"labels": 5}},
+        {"op": "prob", "args": {"state": ["a"], "family": "x"}},
+        {"op": "hexagon", "args": {"a": 1, "e": "d_x"}},
+    ], ids=["args-list", "labels-number", "state-list", "proposition-number"])
+    def test_malformed_query_is_a_usage_error(self, capsys, tmp_path, query):
+        from qopposition.scenarios import builtin, serialize
+        doc = json.loads(serialize(builtin("spin_half_x")))
+        doc["queries"] = [query]
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "scenario", "run", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
+
+    def test_lp_check_query_matches_lp_check(self, capsys, tmp_path):
+        from qopposition.scenarios import builtin, serialize
+        doc = json.loads(serialize(builtin("cat")))
+        doc["queries"] = [{"op": "lp_check",
+                           "args": {"constraints": ["K1", "!K1 | p"], "models": True}}]
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, ran = run_json(capsys, "scenario", "run", str(path))
+        assert code == EXIT_OK
+        [result] = ran["results"]["queries"]
+        code, direct = run_json(capsys, "lp", "check", "-c", "K1", "-c", "!K1 | p",
+                                "--models")
+        assert code == EXIT_OK and len(direct["results"]["models"]) > 1
+        assert {k: v for k, v in result.items() if k not in ("op", "args")} \
+            == direct["results"]
+
     def test_missing_scenario(self, capsys):
         code, out, err = run(capsys, "classify", "nope", "a", "b")
         assert code == EXIT_USAGE
@@ -224,16 +270,22 @@ class TestScenario:
 
 class TestGlobalFlags:
     def test_flags_before_subcommand(self, capsys):
-        code, doc = run_json(capsys, "--eps", "1e-8", "--seed", "7",
+        code, doc = run_json(capsys, "--eps", "1e-8",
                              "classify", "spin_half_x", "u_x", "d_x")
         assert code == EXIT_OK
-        assert doc["eps"] == 1e-8 and doc["seed"] == 7
+        assert doc["eps"] == 1e-8 and "seed" not in doc
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "7", "classify", "spin_half_x", "u_x", "d_x"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_flags_after_subcommand(self, capsys):
         code, doc = run_json(capsys, "classify", "spin_half_x", "u_x", "d_x",
-                             "--eps", "1e-8", "--seed", "7")
+                             "--eps", "1e-8")
         assert code == EXIT_OK
-        assert doc["eps"] == 1e-8 and doc["seed"] == 7
+        assert doc["eps"] == 1e-8 and "seed" not in doc
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "spin_half_x", "u_x", "d_x", "--seed", "7"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_bad_eps(self, capsys):
         code, out, err = run(capsys, "--eps", "0.5",

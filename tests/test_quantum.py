@@ -5,7 +5,7 @@ import pytest
 
 from qopposition.linalg import DimensionMismatch, gram_schmidt
 from qopposition.quantum import (And, Literal, Observable, Or, OrthoFamily,
-                                 QuantumError, State, born, collapse,
+                                 QuantumError, State, born,
                                  family_from_observable, minimal_attribution,
                                  paraconsistent_attribution, superpose, truth)
 
@@ -183,28 +183,12 @@ class TestFamilyFromObservable:
         obs = Observable(u @ np.diag([1.0, 1.0, 2.0]) @ u.conj().T, "D")
         fam = family_from_observable(obs)
         assert fam.labels == ["1", "2"]
-        assert fam.subspace("1").equals(gram_schmidt([u[:, 0], u[:, 1]]))
-        assert fam.subspace("2").equals(gram_schmidt([u[:, 2]]))
+        for label, cols in (("1", u[:, :2]), ("2", u[:, 2:])):
+            assert np.allclose(fam.subspace(label).projector(),
+                               cols @ cols.conj().T, atol=1e-9)
         again = family_from_observable(obs)
         for (_, s), (_, t) in zip(fam.members, again.members):
             assert np.array_equal(s.basis, t.basis)
-
-
-class TestCollapse:
-    def test_fixed_point_on_member(self):
-        fam = x_family()
-        got = collapse(UP_X, fam.subspace("up_x"))
-        assert abs(abs(np.vdot(got.vector, UP_X.vector)) - 1) < 1e-12
-
-    def test_projects_equal_superposition(self):
-        fam = x_family()
-        got = collapse(UP_Z, fam.subspace("up_x"))
-        assert abs(abs(np.vdot(got.vector, UP_X.vector)) - 1) < 1e-12
-
-    def test_zero_probability_branch(self):
-        fam = x_family()
-        with pytest.raises(QuantumError):
-            collapse(DOWN_X, fam.subspace("up_x"))
 
 
 class TestOrthoFamilyInvariants:

@@ -215,7 +215,16 @@ class TestQueries:
     def test_classify_emits_witnesses(self):
         sc = builtin("spin_half_x")
         out = run_query(sc, {"op": "classify", "args": {"p": "u_x", "q": "d_x"}})
-        assert "both_false" in out["witnesses"]
+        assert out["witnesses"]["both_false"]["pattern"] == [False, False]
+
+    def test_run_all_keeps_the_brief_shape(self):
+        sc = builtin("spin_half_x")
+        classify, hexagon = run_all(sc)[0], run_all(sc)[3]
+        full = run_query(sc, sc.queries[3])
+        assert classify["witnesses"]["both_false"] == [[1.0, 0.0], [0.0, 0.0]]
+        assert "positions" not in hexagon and "positions" in full
+        assert hexagon["relations"] == {k: r["relation"]
+                                        for k, r in full["relations"].items()}
 
     def test_prob_sums_to_one(self):
         sc = builtin("three_level")
