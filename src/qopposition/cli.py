@@ -57,8 +57,6 @@ def _emit(args, command: str, results: dict, warnings=(), dot: str | None = None
                               "warnings": list(warnings)}))
         return
     if args.format == "dot":
-        if dot is None:
-            raise CliError("dot output is only available for square/hexagon")
         print(dot)
         return
     print(f"# {command}  (eps={args.eps:g})")
@@ -177,7 +175,7 @@ def cmd_query(args) -> int:
     for name in args.words:
         value = getattr(args, name)
         words += value if isinstance(value, list) else [value]
-    dot = polygon_dot(result, args.op) if args.op in ("square", "hexagon") else None
+    dot = polygon_dot(result, args.op) if args.format == "dot" else None
     _emit(args, " ".join(words), result, sc.warnings if sc else (), dot)
     if "consequence" in result:
         return EXIT_OK if result["consequence"] else EXIT_NOT_CONSEQUENCE
@@ -302,6 +300,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_eps(args.eps)
+        # refused before anything is loaded or run
+        if args.format == "dot" and getattr(args, "op", None) not in ("square", "hexagon"):
+            raise CliError("dot output is only available for square/hexagon")
         return args.func(args)
     except (CliError, ScenarioError, QuantumError, LinalgError, lp.LogicError,
             OppositionError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -1,6 +1,6 @@
 """Small-dimension complex linear algebra: vectors, a LAPACK-backed
 eigensolver for Hermitian matrices, and the subspace calculus
-(membership, containment, intersection, join, orthocomplement).
+(membership, containment, intersection, orthocomplement).
 
 Intersections and orthocomplements come from singular value
 decompositions.  Every membership decision, the meet's included, is the
@@ -141,14 +141,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def project(self, v) -> np.ndarray:
-        v = as_vector(v)
-        if v.size != self.ambient_dim:
-            raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")
-        if self.dim == 0:
-            return np.zeros_like(v)
-        return self.basis @ (self.basis.conj().T @ v)
-
     def contains(self, v, eps: float = EPS) -> bool:
         """Membership: residual of v against the subspace below eps*|v|."""
         check_eps(eps)
@@ -156,7 +148,9 @@ class Subspace:
         nv = float(np.linalg.norm(v))
         if nv <= eps:
             raise ValueError("membership is undefined for the zero vector")
-        return float(np.linalg.norm(v - self.project(v))) < eps * nv
+        if v.size != self.ambient_dim:
+            raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")
+        return float(np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v))) < eps * nv
 
     def is_subset(self, other: "Subspace", eps: float = EPS) -> bool:
         self._check_ambient(other)
@@ -191,14 +185,6 @@ class Subspace:
         keep = [i for i in range(dirs.shape[1]) if b.contains(dirs[:, i], eps)]
         return Subspace(self.ambient_dim, dirs[:, keep], eps)
 
-    def join(self, other: "Subspace", eps: float = EPS) -> "Subspace":
-        self._check_ambient(other)
-        cols = [self.basis[:, i] for i in range(self.dim)]
-        cols += [other.basis[:, i] for i in range(other.dim)]
-        if not cols:
-            return Subspace.zero(self.ambient_dim)
-        return gram_schmidt(cols, eps)
-
     def orthocomplement(self, eps: float = EPS) -> "Subspace":
         """The trailing left singular vectors of the basis."""
         check_eps(eps)
@@ -217,10 +203,11 @@ class Subspace:
 
 
 def gram_schmidt(vectors, eps: float = EPS) -> Subspace:
-    """Orthonormalize (modified Gram-Schmidt); near-dependent vectors with
-    residual norm below eps are dropped.  The input list must be nonempty
-    (the zero subspace is requested through Subspace.zero, which carries
-    the ambient dimension explicitly)."""
+    """Orthonormalize (modified Gram-Schmidt).  A vector whose residual is
+    at most eps times its own norm (the rule of `contains`) is dropped,
+    zero vectors included.  The input list must be nonempty (the zero
+    subspace is requested through Subspace.zero, which carries the ambient
+    dimension explicitly)."""
     check_eps(eps)
     vecs = [as_vector(v) for v in vectors]
     if not vecs:
@@ -235,9 +222,6 @@ def gram_schmidt(vectors, eps: float = EPS) -> Subspace:
             for b in basis:
                 w = w - np.vdot(b, w) * b
         r = float(np.linalg.norm(w))
-        if r < eps:
-            continue
-        basis.append(w / r)
-    if not basis:
-        return Subspace.zero(n)
-    return Subspace(n, np.column_stack(basis), eps)
+        if r > eps * float(np.linalg.norm(v)):
+            basis.append(w / r)
+    return Subspace(n, np.column_stack(basis) if basis else None, eps)

@@ -276,71 +276,53 @@ def _wrap(f: Formula) -> str:
     return str(f) if isinstance(f, (Atom, Not)) else f"({f})"
 
 
+# (symbol, node, right-associative) for each binary connective, from the
+# loosest binding to the tightest
+_BINARY = (("<->", Iff, True), ("->", Imp, True), ("|", OrF, False), ("&", AndF, False))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
+    def eat(self, s: str) -> bool:
+        """Skip whitespace, then consume s if it comes next."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def peek(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
-
-    def eat(self, s: str) -> bool:
-        if self.peek(s):
+        if self.text.startswith(s, self.pos):
             self.pos += len(s)
             return True
         return False
 
     def parse(self) -> Formula:
-        f = self.iff()
-        self.skip_ws()
+        f = self.binary(0)
+        self.eat("")  # trailing whitespace
         if self.pos != len(self.text):
             raise ParseError(f"unexpected input {self.text[self.pos:]!r}", self.pos)
         return f
 
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.eat("<->"):
-            return Iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        # careful: '->' must not swallow the '-' of a '<->' (handled by
-        # ordering: iff() consumes '<->' before imp() sees the tail)
-        if self.peek("->"):
-            self.eat("->")
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.eat("|"):
-            f = OrF(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.eat("&"):
-            f = AndF(f, self.unary())
+    def binary(self, level: int) -> Formula:
+        """A chain of the connective at `level` over operands one level
+        tighter."""
+        if level == len(_BINARY):
+            return self.unary()
+        symbol, node, right = _BINARY[level]
+        f = self.binary(level + 1)
+        while self.eat(symbol):
+            # a right-associative connective takes the rest of its chain as
+            # its right operand, so the loop then runs once
+            f = node(f, self.binary(level if right else level + 1))
         return f
 
     def unary(self) -> Formula:
         if self.eat("!"):
             return Not(self.unary())
         if self.eat("("):
-            f = self.iff()
+            f = self.binary(0)
             if not self.eat(")"):
                 raise ParseError("expected ')'", self.pos)
             return f
-        return self.atom()
-
-    def atom(self) -> Formula:
-        self.skip_ws()
         start = self.pos
         while (self.pos < len(self.text)
                and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):

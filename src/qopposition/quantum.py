@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (EPS, DimensionMismatch, Subspace, as_vector, as_matrix,
-                     check_eps, gram_schmidt, hermitian_eig, is_hermitian)
+                     check_eps, hermitian_eig, is_hermitian)
 
 
 class QuantumError(Exception):
@@ -77,13 +77,9 @@ class OrthoFamily:
         labels = [lab for lab, _ in members]
         if len(set(labels)) != len(labels):
             raise QuantumError(f"duplicate member labels in family: {labels}")
-        joined = Subspace.zero(ambient_dim)
         for lab, sub in members:
             if sub.ambient_dim != ambient_dim:
                 raise DimensionMismatch(f"member {lab!r} has wrong ambient dimension")
-            joined = joined.join(sub, eps)
-        if not joined.is_full():
-            raise QuantumError("family members do not span the whole space")
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 a, b = members[i][1], members[j][1]
@@ -93,6 +89,11 @@ class OrthoFamily:
                         raise QuantumError(
                             f"members {members[i][0]!r} and {members[j][0]!r} "
                             "are not orthogonal")
+        # orthonormal bases of pairwise-orthogonal members are linearly
+        # independent, so they span C^n exactly when their dimensions add
+        # up to n; a sum above n cannot pass the orthogonality check
+        if sum(sub.dim for _, sub in members) != ambient_dim:
+            raise QuantumError("family members do not span the whole space")
         self.ambient_dim = int(ambient_dim)
         self.members = tuple(members)
 
@@ -207,7 +208,7 @@ def born(psi: State, s: Subspace) -> float:
     """Born probability |P_S psi|^2 of finding the state in the subspace."""
     if psi.dim != s.ambient_dim:
         raise DimensionMismatch(f"state dim {psi.dim} vs ambient {s.ambient_dim}")
-    p = float(np.linalg.norm(s.project(psi.vector)) ** 2)
+    p = float(np.linalg.norm(s.basis @ (s.basis.conj().T @ psi.vector)) ** 2)
     return min(max(p, 0.0), 1.0)
 
 
@@ -241,7 +242,6 @@ def family_from_observable(obs: Observable, eps: float = EPS) -> OrthoFamily:
         while j + 1 < n and evals[j + 1] - evals[j] < eps:
             j += 1
         value = float(np.mean(evals[i:j + 1]))
-        sub = gram_schmidt([vecs[:, k] for k in range(i, j + 1)], eps)
-        members.append((f"{value:g}", sub))
+        members.append((f"{value:g}", Subspace(obs.dim, vecs[:, i:j + 1], eps)))
         i = j + 1
     return OrthoFamily(obs.dim, members, eps)

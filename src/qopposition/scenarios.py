@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .linalg import EPS, Subspace, gram_schmidt
+from .linalg import EPS, MAX_DIM, Subspace, gram_schmidt
 from .opposition import build_hexagon, build_square, classify
 from .quantum import (And, Literal, Observable, Or, OrthoFamily, Proposition,
                       State, born, minimal_attribution,
@@ -139,10 +139,20 @@ def _vec_in(raw, dim: int, what: str) -> np.ndarray:
         raise ScenarioError(f"{what}: expected {dim} components of [re, im]")
     comps = []
     for pair in raw:
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                        for x in pair)):
             raise ScenarioError(f"{what}: components must be [re, im] pairs")
         comps.append(complex(float(pair[0]), float(pair[1])))
     return np.array(comps, dtype=complex)
+
+
+def _section(doc: dict, key: str) -> dict:
+    """A top-level section of named entries: an object, empty if absent."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key!r} must be an object, got {value!r}")
+    return value
 
 
 def load_scenario(text: str, eps: float = EPS) -> Scenario:
@@ -156,10 +166,12 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
     for key in ("name", "dim"):
         if key not in doc:
             raise ScenarioError(f"missing top-level key {key!r}")
-    dim = int(doc["dim"])
+    dim = doc["dim"]
+    if not (isinstance(dim, int) and not isinstance(dim, bool) and 1 <= dim <= MAX_DIM):
+        raise ScenarioError(f"'dim' must be an integer in 1..{MAX_DIM}, got {dim!r}")
     sc = Scenario(name=str(doc["name"]), dim=dim)
 
-    for sname, raw in sorted(doc.get("states", {}).items()):
+    for sname, raw in sorted(_section(doc, "states").items()):
         v = _vec_in(raw, dim, f"state {sname!r}")
         n = float(np.linalg.norm(v))
         if n < 1e-6:
@@ -171,18 +183,18 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
             sc.warnings.append(f"state {sname!r} renormalized (norm was {n:.6g})")
             sc.states[sname] = State(v / n, eps)
 
-    for oname, rows in sorted(doc.get("observables", {}).items()):
+    for oname, rows in sorted(_section(doc, "observables").items()):
         if not isinstance(rows, list) or len(rows) != dim:
             raise ScenarioError(f"observable {oname!r}: expected {dim} rows")
         m = np.array([_vec_in(r, dim, f"observable {oname!r} row") for r in rows])
         sc.observables[oname] = Observable(m, oname)
 
-    for fname, raw_fam in sorted(doc.get("families", {}).items()):
-        if not (isinstance(raw_fam, dict) and "members" in raw_fam):
+    for fname, raw_fam in sorted(_section(doc, "families").items()):
+        if not (isinstance(raw_fam, dict) and isinstance(raw_fam.get("members"), list)):
             raise ScenarioError(f"family {fname!r}: expected a 'members' list")
         members = []
         for entry in raw_fam["members"]:
-            if not (isinstance(entry, list) and len(entry) == 2):
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
                 raise ScenarioError(f"family {fname!r}: members are [label, vectors] pairs")
             label, vecs = entry
             if not vecs:
@@ -202,7 +214,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
         fam._scenario_name = fname
         sc.families[fname] = fam
 
-    for pname, raw in sorted(doc.get("propositions", {}).items()):
+    for pname, raw in sorted(_section(doc, "propositions").items()):
         sc.propositions[pname] = _parse_prop(raw, sc, pname)
 
     queries = doc.get("queries", [])

@@ -116,6 +116,22 @@ class TestPolygons:
         assert code == EXIT_USAGE
         assert "dot" in err
 
+    def test_scenario_show_refuses_dot(self, capsys):
+        code, out, err = run(capsys, "scenario", "show", "cat", "--format", "dot")
+        assert code == EXIT_USAGE and out == ""
+        assert "only available for square/hexagon" in err
+
+    def test_dot_refused_before_the_query_runs(self, capsys, monkeypatch):
+        from qopposition import cli
+
+        def never(*_):
+            raise AssertionError("run_query was called")
+        monkeypatch.setattr(cli, "run_query", never)
+        code, out, err = run(capsys, "lp", "chain", "a", "b", "--models",
+                             "--format", "dot")
+        assert code == EXIT_USAGE and out == ""
+        assert "only available for square/hexagon" in err
+
     def test_equivalent_base_pair_rejected(self, capsys):
         code, out, err = run(capsys, "hexagon", "spin_half_x", "u_x", "u_x")
         assert code == EXIT_USAGE
@@ -235,6 +251,24 @@ class TestScenario:
         doc["queries"] = [query]
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "scenario", "run", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2, "states": []},
+        {"dim": 2, "propositions": []},
+        {"dim": 2, "families": {"f": {"members": [["a", 5]]}}},
+        {"dim": 2, "families": {"f": {"members": 5}}},
+        {"dim": 0},
+        {"dim": True},
+        {"dim": 2.5},
+        {"dim": 2, "states": {"s": [[None, 0], [1, 0]]}},
+    ], ids=["states-list", "propositions-list", "member-vectors-number",
+            "members-number", "dim-zero", "dim-bool", "dim-float", "component-null"])
+    def test_malformed_file_is_a_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps({"name": "t", **doc}))
         code, out, err = run(capsys, "scenario", "run", str(path))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ")

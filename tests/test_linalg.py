@@ -28,6 +28,15 @@ class TestGramSchmidt:
         expected = np.array([[R2, R2], [R2, -R2]]).T
         assert np.allclose(np.abs(s.basis.conj().T @ expected), np.eye(2))
 
+    @pytest.mark.parametrize("vectors", [
+        [[1e-10, 0]],  # tiny but independent: kept
+        [[1e6, 0], [1e6, 1e-4]],  # contains puts the second in the first line
+        [[0, 0], [1, 0]],  # a zero vector is dropped, not divided by zero
+    ])
+    def test_drops_by_the_relative_rule_of_contains(self, vectors):
+        s = gram_schmidt(vectors)
+        assert s.dim == 1 and s.contains([1, 0])
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             gram_schmidt([])
@@ -124,6 +133,13 @@ class TestSubspaceCalculus:
         with pytest.raises(ValueError):
             gram_schmidt([[1, 0]]).contains([0, 0])
 
+    def test_zero_subspace_contains_nothing(self):
+        assert not Subspace.zero(3).contains([1, 2, 3])
+
+    def test_contains_rejects_a_wrong_size_vector(self):
+        with pytest.raises(DimensionMismatch):
+            gram_schmidt([[1, 0]]).contains([1, 0, 0])
+
     def test_zero_subset_of_anything(self):
         assert Subspace.zero(2).is_subset(gram_schmidt([[1, 0]]))
 
@@ -156,9 +172,6 @@ class TestSubspaceCalculus:
         assert a.intersect(b).dim == b.intersect(a).dim == meet_dim
         assert a.contains(b.basis[:, 0]) == (meet_dim == 1)
 
-    def test_join_lines_full(self):
-        assert gram_schmidt([[1, 0]]).join(gram_schmidt([[0, 1]])).is_full()
-
     def test_orthocomplement_of_line(self):
         got = gram_schmidt([[R2, R2]]).orthocomplement()
         assert got.dim == 1 and got.contains([R2, -R2])
@@ -169,7 +182,7 @@ class TestSubspaceCalculus:
             n = int(rng.integers(2, 5))
             s = random_subspace(n, int(rng.integers(0, n + 1)), rng)
             c = s.orthocomplement()
-            assert s.join(c).is_full()
+            assert s.dim + c.dim == n
             assert s.intersect(c).is_zero()
 
     def test_zero_and_full_flags(self):
@@ -178,7 +191,7 @@ class TestSubspaceCalculus:
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            Subspace.zero(2).join(Subspace.zero(3))
+            Subspace.zero(2).intersect(Subspace.zero(3))
 
     def test_modular_law_on_common_orthogonal_family(self):
         # spans of subsets of one orthonormal family always satisfy
@@ -192,7 +205,9 @@ class TestSubspaceCalculus:
             mk = lambda idx: (gram_schmidt([u[:, i] for i in idx]) if idx
                               else Subspace.zero(n))
             s, t = mk(idx_s), mk(idx_t)
-            assert (s.intersect(t).dim + s.join(t).dim) == s.dim + t.dim
+            # the join of two such spans is the span of the union
+            join_dim = len(set(idx_s) | set(idx_t))
+            assert s.intersect(t).dim + join_dim == s.dim + t.dim
 
     def test_never_in_both_s_and_complement(self):
         rng = np.random.default_rng(29)

@@ -272,9 +272,14 @@ class TestParser:
         assert parse_formula("p_a<->!p_a") == parse_formula("  p_a  <->  !  p_a ")
 
     def test_parse_error_reports_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse_formula("p & ")
-        assert "column" in str(exc.value)
+        for text, message, column in (
+                ("p & ", "expected an atom, found 'end of input'", 5),
+                ("(p", "expected ')'", 3),
+                ("p & q)", "unexpected input ')'", 6)):
+            with pytest.raises(ParseError) as exc:
+                parse_formula(text)
+            assert str(exc.value) == f"{message} (at column {column})"
+            assert exc.value.position == column - 1
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):

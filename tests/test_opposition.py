@@ -485,7 +485,8 @@ def compound_pair(draw):
     subs = [random_subspace(n, draw(st.integers(0, n)), rng)
             for _ in range(draw(st.integers(1, 3)))]
     if len(subs) > 1 and draw(st.booleans()):
-        subs[-1] = subs[0].join(random_subspace(n, 1, rng))
+        line = random_subspace(n, 1, rng)
+        subs[-1] = gram_schmidt(list(subs[0].basis.T) + list(line.basis.T))
 
     def prop(depth):
         if depth == 0 or draw(st.booleans()):

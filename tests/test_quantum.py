@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qopposition.linalg import DimensionMismatch, gram_schmidt
+from qopposition.linalg import (DimensionMismatch, Subspace, gram_schmidt,
+                                hermitian_eig)
 from qopposition.quantum import (And, Literal, Observable, Or, OrthoFamily,
                                  QuantumError, State, born,
                                  family_from_observable, minimal_attribution,
@@ -64,6 +65,9 @@ class TestBorn:
     def test_up_z_against_x_line(self):
         # |<up_x|up_z>|^2 = 1/2 by hand
         assert born(UP_Z, x_family().subspace("up_x")) == pytest.approx(0.5, abs=1e-12)
+
+    def test_zero_subspace_gives_zero(self):
+        assert born(UP_Z, Subspace.zero(2)) == 0.0
 
     def test_complement_sums_to_one(self):
         rng = np.random.default_rng(41)
@@ -189,6 +193,18 @@ class TestFamilyFromObservable:
         again = family_from_observable(obs)
         for (_, s), (_, t) in zip(fam.members, again.members):
             assert np.array_equal(s.basis, t.basis)
+
+    def test_member_bases_are_the_eigenvectors(self):
+        # each member's basis is its block of hermitian_eig's columns, bit
+        # for bit: no second orthonormalization
+        rng = np.random.default_rng(43)
+        u = haar_unitary(4, rng)
+        for m in (np.array([[0, 1], [1, 0]], dtype=complex),
+                  u @ np.diag([1.0, 1.0, 2.0, 3.0]) @ u.conj().T,
+                  u @ np.diag([-1.0, 2.0, 2.0, 2.0]) @ u.conj().T):
+            fam = family_from_observable(Observable(m, "M"))
+            _, vecs = hermitian_eig(m)
+            assert np.array_equal(np.hstack([s.basis for _, s in fam.members]), vecs)
 
 
 class TestOrthoFamilyInvariants:
