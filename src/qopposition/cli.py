@@ -26,7 +26,7 @@ from .linalg import EPS, LinalgError, check_eps
 from .opposition import OppositionError
 from .quantum import QuantumError, State, truth
 from .scenarios import (BUILTIN_NAMES, ScenarioError, Scenario, builtin,
-                        canonical_json, load_file, run_all, run_query, serialize)
+                        canonical_json, load_scenario, run_all, run_query, serialize)
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +44,8 @@ def _load(name: str, eps: float) -> Scenario:
     if name in BUILTIN_NAMES:
         return builtin(name)
     if os.path.exists(name):
-        return load_file(name, eps)
+        with open(name, encoding="utf-8") as fh:
+            return load_scenario(fh.read(), eps)
     raise CliError(f"no builtin or scenario file named {name!r} "
                    f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
@@ -307,6 +308,11 @@ def main(argv=None) -> int:
     except (CliError, ScenarioError, QuantumError, LinalgError, lp.LogicError,
             OppositionError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # a formula or proposition nested deeper than the recursive parser
+        # and evaluators reach
+        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

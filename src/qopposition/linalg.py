@@ -142,11 +142,12 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def contains(self, v, eps: float = EPS) -> bool:
-        """Membership: residual of v against the subspace below eps*|v|."""
+        """Membership: residual of v against the subspace below eps*|v|,
+        a relative rule at every scale; only the zero vector is refused."""
         check_eps(eps)
         v = as_vector(v)
         nv = float(np.linalg.norm(v))
-        if nv <= eps:
+        if nv == 0.0:
             raise ValueError("membership is undefined for the zero vector")
         if v.size != self.ambient_dim:
             raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")

@@ -147,22 +147,6 @@ def _checked_atoms(formulas, mode) -> list:
     return names
 
 
-def _chunks(names, mode):
-    """All valuations over the sorted atom names in enumeration order, as
-    int8 tables of shape (atoms, valuations) holding TV values, at most
-    CHUNK_SIZE valuations each."""
-    values = np.array(_VALUES[mode], dtype=np.int8)
-    base = len(values)
-    total = base ** len(names)
-    for start in range(0, total, CHUNK_SIZE):
-        index = np.arange(start, min(start + CHUNK_SIZE, total))
-        table = np.empty((len(names), len(index)), dtype=np.int8)
-        for i in reversed(range(len(names))):
-            index, digit = np.divmod(index, base)
-            table[i] = values[digit]
-        yield table
-
-
 def _column(f: Formula, columns: dict) -> np.ndarray:
     """The values of f at every valuation of a chunk, by the rules of eval3."""
     if isinstance(f, Atom):
@@ -181,14 +165,31 @@ def _column(f: Formula, columns: dict) -> np.ndarray:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _designated(formulas, names, table) -> np.ndarray:
-    """Mask of the chunk's valuations designating every formula."""
-    columns = dict(zip(names, table))
-    ok = np.ones(table.shape[1], dtype=bool)
-    for f in formulas:
-        # designated is above F; an int operand spares numpy probing the enum
-        ok &= _column(f, columns) > 0
-    return ok
+def _scan(premises, mode, conclusion=None):
+    """Every valuation over the sorted atoms of the premises (and the
+    conclusion), in enumeration order, as chunks (names, table, ok): table
+    is an int8 table of shape (atoms, valuations) holding TV values, at
+    most CHUNK_SIZE valuations, and ok marks the valuations that designate
+    every premise and, when a conclusion is given, leave it at F."""
+    premises = list(premises)
+    names = _checked_atoms(premises + ([] if conclusion is None else [conclusion]), mode)
+    values = np.array(_VALUES[mode], dtype=np.int8)
+    base = len(values)
+    total = base ** len(names)
+    for start in range(0, total, CHUNK_SIZE):
+        index = np.arange(start, min(start + CHUNK_SIZE, total))
+        table = np.empty((len(names), len(index)), dtype=np.int8)
+        for i in reversed(range(len(names))):
+            index, digit = np.divmod(index, base)
+            table[i] = values[digit]
+        columns = dict(zip(names, table))
+        ok = np.ones(table.shape[1], dtype=bool)
+        for f in premises:
+            # designated is above F; an int operand spares numpy probing the enum
+            ok &= _column(f, columns) > 0
+        if conclusion is not None:
+            ok &= _column(conclusion, columns) == 0
+        yield names, table, ok
 
 
 # the TV members indexed by value, to turn a table into TV members at once
@@ -203,10 +204,7 @@ def _as_dicts(names, table) -> list:
 def satisfiable(constraints, mode: str = LP) -> dict | None:
     """First valuation (in enumeration order) designating every constraint,
     or None."""
-    constraints = list(constraints)
-    names = _checked_atoms(constraints, mode)
-    for table in _chunks(names, mode):
-        ok = _designated(constraints, names, table)
+    for names, table, ok in _scan(constraints, mode):
         if ok.any():
             return _as_dicts(names, table[:, [ok.argmax()]])[0]
     return None
@@ -214,22 +212,14 @@ def satisfiable(constraints, mode: str = LP) -> dict | None:
 
 def models(constraints, mode: str = LP) -> list:
     """All valuations designating every constraint, in enumeration order."""
-    constraints = list(constraints)
-    names = _checked_atoms(constraints, mode)
-    return [v for table in _chunks(names, mode)
-            for v in _as_dicts(names, table[:, _designated(constraints, names, table)])]
+    return [v for names, table, ok in _scan(constraints, mode)
+            for v in _as_dicts(names, table[:, ok])]
 
 
 def consequence(premises, conclusion: Formula, mode: str = LP) -> bool:
     """Designation-preserving consequence: every valuation designating all
     premises designates the conclusion."""
-    premises = list(premises)
-    names = _checked_atoms(premises + [conclusion], mode)
-    for table in _chunks(names, mode):
-        if (_designated(premises, names, table)
-                & ~_designated([conclusion], names, table)).any():
-            return False
-    return True
+    return not any(ok.any() for _, _, ok in _scan(premises, mode, conclusion))
 
 
 def postulate_of_contradiction(labels) -> list:

@@ -1,6 +1,6 @@
-"""Built-in desk-scale scenarios, a JSON scenario-file loader, and the
-one query executor, `run_query`, that `scenario run` and every other
-`qopp` subcommand share.
+"""Built-in desk-scale scenarios, the JSON scenario loader that reads them
+and scenario files alike, and the one query executor, `run_query`, that
+`scenario run` and every other `qopp` subcommand share.
 
 A scenario bundles named states, observables, orthogonal families,
 propositions, and queries into a reproducible unit.  Serialization is
@@ -22,9 +22,6 @@ from .opposition import build_hexagon, build_square, classify
 from .quantum import (And, Literal, Observable, Or, OrthoFamily, Proposition,
                       State, born, minimal_attribution,
                       paraconsistent_attribution, superpose)
-
-BUILTIN_NAMES = ("spin_half_x", "double_slit", "cat", "three_level", "skewed")
-
 
 class ScenarioError(Exception):
     pass
@@ -80,12 +77,13 @@ class Scenario:
 
 # --- canonical JSON -------------------------------------------------------
 
-def _canon(obj) -> str:
+def canonical_json(obj) -> str:
+    """Canonical rendering: keys sorted, floats at 17 significant digits."""
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f"{json.dumps(k)}:{_canon(v)}" for k, v in items) + "}"
+        return "{" + ",".join(f"{json.dumps(k)}:{canonical_json(v)}"
+                              for k, v in sorted(obj.items())) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(x) for x in obj) + "]"
+        return "[" + ",".join(canonical_json(x) for x in obj) + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, float):
@@ -93,11 +91,6 @@ def _canon(obj) -> str:
     if isinstance(obj, (int, str)):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def canonical_json(obj) -> str:
-    """Canonical rendering: keys sorted, floats at 17 significant digits."""
-    return _canon(obj)
 
 
 def _vec_out(v) -> list:
@@ -242,156 +235,116 @@ def _parse_prop(raw, sc: Scenario, pname: str) -> Proposition:
                         "'!family.member', or a {'and'|'or': [...]} object")
 
 
-def load_file(path: str, eps: float = EPS) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return load_scenario(fh.read(), eps)
-
-
 # --- builtins -------------------------------------------------------------
+#
+# Each builtin is a scenario document, read by load_scenario as a file is.
 
-def _line(vec) -> Subspace:
-    return gram_schmidt([np.asarray(vec, dtype=complex)])
+_R = 1.0 / math.sqrt(2.0)
+# the x lines hold sqrt(0.5), one ulp above 1/sqrt(2): that is what
+# gram_schmidt makes of [r, r], and the builtins' decisions and printed
+# bases keep those bits
+_X = math.sqrt(0.5)
+_SPIN_STATES = {"up_z": _vec_out([1, 0]), "down_z": _vec_out([0, 1]),
+                "up_x": _vec_out([_R, _R]), "down_x": _vec_out([_R, -_R])}
+_X_FAMILY = {"x": {"members": [["up_x", [_vec_out([_X, _X])]],
+                               ["down_x", [_vec_out([_X, -_X])]]]}}
+_X_PROPOSITIONS = {"u_x": "x.up_x", "d_x": "x.down_x"}
 
+_BUILTINS = {
+    "spin_half_x": {
+        "dim": 2,
+        "states": _SPIN_STATES,
+        "observables": {"X": [_vec_out([0, 1]), _vec_out([1, 0])]},
+        "families": _X_FAMILY,
+        "propositions": _X_PROPOSITIONS,
+        "queries": [
+            {"op": "classify", "args": {"p": "u_x", "q": "d_x"}},
+            {"op": "classify", "args": {"p": "u_x", "q": "!u_x"}},
+            {"op": "classify", "args": {"p": "!u_x", "q": "!d_x"}},
+            {"op": "hexagon", "args": {"a": "u_x", "e": "d_x"}},
+            {"op": "attribute", "args": {"state": "up_z", "family": "x",
+                                         "semantics": "minimal"}},
+            {"op": "attribute", "args": {"state": "up_z", "family": "x",
+                                         "semantics": "paraconsistent"}},
+            {"op": "prob", "args": {"state": "up_z", "family": "x"}},
+        ],
+    },
+    "double_slit": {
+        "dim": 2,
+        "states": {"psi_1": _vec_out([1, 0]), "psi_2": _vec_out([0, 1]),
+                   # equal weights are the symmetric default; a scenario
+                   # file can vary them
+                   "Psi": _vec_out([_R, _R])},
+        "families": {"slit": {"members": [["slit_1", [_vec_out([1, 0])]],
+                                          ["slit_2", [_vec_out([0, 1])]]]}},
+        "propositions": {"went_1": "slit.slit_1", "went_2": "slit.slit_2"},
+        "queries": [
+            {"op": "classify", "args": {"p": "went_1", "q": "went_2"}},
+            {"op": "hexagon", "args": {"a": "went_1", "e": "went_2"}},
+            {"op": "attribute", "args": {"state": "Psi", "family": "slit",
+                                         "semantics": "paraconsistent"}},
+            {"op": "lp_postulate", "args": {"labels": ["s1", "s2"], "mode": "lp"}},
+        ],
+    },
+    "cat": {
+        "dim": 2,
+        "states": {"C_d": _vec_out([1, 0]), "C_a": _vec_out([0, 1]),
+                   "Phi": _vec_out([_R, _R])},
+        "families": {"fate": {"members": [["dead", [_vec_out([1, 0])]],
+                                          ["alive", [_vec_out([0, 1])]]]}},
+        "propositions": {"dead": "fate.dead", "alive": "fate.alive"},
+        "queries": [
+            {"op": "classify", "args": {"p": "dead", "q": "alive"}},
+            {"op": "hexagon", "args": {"a": "dead", "e": "alive"}},
+            {"op": "attribute", "args": {"state": "Phi", "family": "fate",
+                                         "semantics": "paraconsistent"}},
+        ],
+    },
+    "three_level": {
+        "dim": 3,
+        "states": {"a": _vec_out([1, 0, 0]), "b": _vec_out([0, 1, 0]),
+                   "c": _vec_out([0, 0, 1]),
+                   "abc": _vec_out([1.0 / math.sqrt(3.0)] * 3)},
+        "families": {"level": {"members": [["a", [_vec_out([1, 0, 0])]],
+                                           ["b", [_vec_out([0, 1, 0])]],
+                                           ["c", [_vec_out([0, 0, 1])]]]}},
+        "propositions": {"p_a": "level.a", "p_b": "level.b", "p_c": "level.c"},
+        "queries": [
+            {"op": "classify", "args": {"p": "p_a", "q": "p_b"}},
+            {"op": "hexagon", "args": {"a": "p_a", "e": "p_b"}},
+            {"op": "lp_chain", "args": {"labels": ["a", "b", "c"],
+                                        "conclude": "p_a <-> !p_a",
+                                        "mode": "classical"}},
+            {"op": "lp_chain", "args": {"labels": ["a", "b", "c"], "mode": "lp"}},
+        ],
+    },
+    "skewed": {
+        "dim": 2,
+        "states": dict(_SPIN_STATES, skewed=_vec_out(superpose(
+            [2.0 / math.sqrt(7.0), math.sqrt(3.0 / 7.0)],
+            [State([_R, _R]), State([_R, -_R])]).vector)),
+        "families": _X_FAMILY,
+        "propositions": _X_PROPOSITIONS,
+        "queries": [
+            {"op": "prob", "args": {"state": "skewed", "family": "x"}},
+            {"op": "attribute", "args": {"state": "skewed", "family": "x",
+                                         "semantics": "minimal"}},
+            {"op": "attribute", "args": {"state": "skewed", "family": "x",
+                                         "semantics": "paraconsistent"}},
+        ],
+    },
+}
 
-def _family(sc: Scenario, name: str, members) -> OrthoFamily:
-    fam = OrthoFamily(sc.dim, members)
-    fam._scenario_name = name
-    sc.families[name] = fam
-    return fam
-
-
-def _literal(sc: Scenario, pname: str, fam: OrthoFamily, member: str) -> None:
-    sc.propositions[pname] = Literal(fam.subspace(member), True, fam, member, pname)
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> Scenario:
-    """One of the bundled scenarios; see BUILTIN_NAMES."""
+    """One of the bundled scenarios; see BUILTIN_NAMES.  Its document goes
+    through JSON text, so every call returns fresh objects, and it is read
+    at the default EPS."""
     if name not in BUILTIN_NAMES:
         raise ScenarioError(f"unknown builtin {name!r} (have {BUILTIN_NAMES})")
-    return _BUILDERS[name]()
-
-
-def _spin_states(sc: Scenario) -> None:
-    r = 1.0 / math.sqrt(2.0)
-    sc.states["up_z"] = State([1, 0])
-    sc.states["down_z"] = State([0, 1])
-    sc.states["up_x"] = State([r, r])
-    sc.states["down_x"] = State([r, -r])
-
-
-def _x_family(sc: Scenario) -> OrthoFamily:
-    r = 1.0 / math.sqrt(2.0)
-    return _family(sc, "x", [("up_x", _line([r, r])), ("down_x", _line([r, -r]))])
-
-
-def _build_spin_half_x() -> Scenario:
-    sc = Scenario("spin_half_x", 2)
-    _spin_states(sc)
-    sc.observables["X"] = Observable(np.array([[0, 1], [1, 0]], dtype=complex), "X")
-    fam = _x_family(sc)
-    _literal(sc, "u_x", fam, "up_x")
-    _literal(sc, "d_x", fam, "down_x")
-    sc.queries = [
-        {"op": "classify", "args": {"p": "u_x", "q": "d_x"}},
-        {"op": "classify", "args": {"p": "u_x", "q": "!u_x"}},
-        {"op": "classify", "args": {"p": "!u_x", "q": "!d_x"}},
-        {"op": "hexagon", "args": {"a": "u_x", "e": "d_x"}},
-        {"op": "attribute", "args": {"state": "up_z", "family": "x",
-                                     "semantics": "minimal"}},
-        {"op": "attribute", "args": {"state": "up_z", "family": "x",
-                                     "semantics": "paraconsistent"}},
-        {"op": "prob", "args": {"state": "up_z", "family": "x"}},
-    ]
-    return sc
-
-
-def _build_double_slit() -> Scenario:
-    sc = Scenario("double_slit", 2)
-    r = 1.0 / math.sqrt(2.0)
-    sc.states["psi_1"] = State([1, 0])
-    sc.states["psi_2"] = State([0, 1])
-    # equal weights are the symmetric default; a scenario file can vary them
-    sc.states["Psi"] = State([r, r])
-    fam = _family(sc, "slit", [("slit_1", _line([1, 0])),
-                               ("slit_2", _line([0, 1]))])
-    _literal(sc, "went_1", fam, "slit_1")
-    _literal(sc, "went_2", fam, "slit_2")
-    sc.queries = [
-        {"op": "classify", "args": {"p": "went_1", "q": "went_2"}},
-        {"op": "hexagon", "args": {"a": "went_1", "e": "went_2"}},
-        {"op": "attribute", "args": {"state": "Psi", "family": "slit",
-                                     "semantics": "paraconsistent"}},
-        {"op": "lp_postulate", "args": {"labels": ["s1", "s2"], "mode": "lp"}},
-    ]
-    return sc
-
-
-def _build_cat() -> Scenario:
-    sc = Scenario("cat", 2)
-    r = 1.0 / math.sqrt(2.0)
-    sc.states["C_d"] = State([1, 0])
-    sc.states["C_a"] = State([0, 1])
-    sc.states["Phi"] = State([r, r])
-    fam = _family(sc, "fate", [("dead", _line([1, 0])), ("alive", _line([0, 1]))])
-    _literal(sc, "dead", fam, "dead")
-    _literal(sc, "alive", fam, "alive")
-    sc.queries = [
-        {"op": "classify", "args": {"p": "dead", "q": "alive"}},
-        {"op": "hexagon", "args": {"a": "dead", "e": "alive"}},
-        {"op": "attribute", "args": {"state": "Phi", "family": "fate",
-                                     "semantics": "paraconsistent"}},
-    ]
-    return sc
-
-
-def _build_three_level() -> Scenario:
-    sc = Scenario("three_level", 3)
-    r = 1.0 / math.sqrt(3.0)
-    sc.states["a"] = State([1, 0, 0])
-    sc.states["b"] = State([0, 1, 0])
-    sc.states["c"] = State([0, 0, 1])
-    sc.states["abc"] = State([r, r, r])
-    fam = _family(sc, "level", [("a", _line([1, 0, 0])),
-                                ("b", _line([0, 1, 0])),
-                                ("c", _line([0, 0, 1]))])
-    for lab in ("a", "b", "c"):
-        _literal(sc, f"p_{lab}", fam, lab)
-    sc.queries = [
-        {"op": "classify", "args": {"p": "p_a", "q": "p_b"}},
-        {"op": "hexagon", "args": {"a": "p_a", "e": "p_b"}},
-        {"op": "lp_chain", "args": {"labels": ["a", "b", "c"],
-                                    "conclude": "p_a <-> !p_a",
-                                    "mode": "classical"}},
-        {"op": "lp_chain", "args": {"labels": ["a", "b", "c"], "mode": "lp"}},
-    ]
-    return sc
-
-
-def _build_skewed() -> Scenario:
-    sc = Scenario("skewed", 2)
-    _spin_states(sc)
-    fam = _x_family(sc)
-    _literal(sc, "u_x", fam, "up_x")
-    _literal(sc, "d_x", fam, "down_x")
-    sc.states["skewed"] = superpose([2.0 / math.sqrt(7.0), math.sqrt(3.0 / 7.0)],
-                                    [sc.states["up_x"], sc.states["down_x"]])
-    sc.queries = [
-        {"op": "prob", "args": {"state": "skewed", "family": "x"}},
-        {"op": "attribute", "args": {"state": "skewed", "family": "x",
-                                     "semantics": "minimal"}},
-        {"op": "attribute", "args": {"state": "skewed", "family": "x",
-                                     "semantics": "paraconsistent"}},
-    ]
-    return sc
-
-
-_BUILDERS = {
-    "spin_half_x": _build_spin_half_x,
-    "double_slit": _build_double_slit,
-    "cat": _build_cat,
-    "three_level": _build_three_level,
-    "skewed": _build_skewed,
-}
+    return load_scenario(json.dumps(dict(_BUILTINS[name], name=name)))
 
 
 # --- query execution ------------------------------------------------------

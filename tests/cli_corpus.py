@@ -2,9 +2,12 @@
 
 Runs a fixed set of commands in-process through `qopposition.cli.main` and
 prints one line per command: the exit code, the SHA-256 of its stdout plus
-stderr, and the argv.  The last line is the SHA-256 of all the lines before
-it.  Two checkouts print the same lines exactly when every command gives
-the same exit code and the same bytes.
+stderr, and the argv.  A command that raises out of `main` prints `exc`
+and the SHA-256 of the exception's type and message instead, so a checkout
+that crashes on some input still runs the whole corpus.  The last line is
+the SHA-256 of all the lines before it.  Two checkouts print the same
+lines exactly when every command gives the same exit code and the same
+bytes.
 
     PYTHONPATH=src python tests/cli_corpus.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_corpus.py > old.txt
@@ -52,6 +55,10 @@ MIXED = {
 
 FORMULAS_BAD = ["p &", "(p", "p & q)", "p ->", "", "!", "p q", "p - q",
                 "p <- q", "&p", "p | | q", "((p)"]
+
+# nested deeper than the recursive parser reaches
+FORMULAS_DEEP = ["(" * 3000 + "p" + ")" * 3000, "!" * 3000 + "p",
+                 " -> ".join(["p"] * 3000)]
 
 
 def _refs(name: str) -> list:
@@ -149,6 +156,7 @@ def _lp_commands() -> list:
              ["lp", "check", "-c", "p", "--mode", "fuzzy"],
              ["lp", "postulate"],
              ["lp", "check", "-c", " & ".join(f"x{i}" for i in range(16))]]
+    cmds += [["lp", "check", "-c", deep] for deep in FORMULAS_DEEP]
     return cmds
 
 
@@ -181,6 +189,9 @@ def run(argv) -> tuple:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+        except Exception as exc:  # a crash: its type and message stand for the output
+            crash = f"{type(exc).__name__}: {exc}"
+            return "exc", hashlib.sha256(crash.encode()).hexdigest()
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 

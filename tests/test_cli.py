@@ -202,6 +202,16 @@ class TestLp:
         code, out, err = run(capsys, "lp", "postulate", "s", "s")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("formula", [
+        "(" * 3000 + "p" + ")" * 3000,
+        "!" * 3000 + "p",
+        " -> ".join(["p"] * 3000),
+    ], ids=["parentheses", "negations", "arrows"])
+    def test_deep_formula_is_a_usage_error(self, capsys, formula):
+        code, out, err = run(capsys, "lp", "check", "-c", formula)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: input is nested too deeply\n"
+
     def test_valuation_budget(self, capsys):
         labels = [f"l{i}" for i in range(16)]
         code, out, err = run(capsys, "lp", "chain", *labels)
@@ -272,6 +282,20 @@ class TestScenario:
         code, out, err = run(capsys, "scenario", "run", str(path))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ")
+
+    def test_deep_proposition_is_a_usage_error(self, capsys, tmp_path):
+        deep = "f.a"
+        for _ in range(400):
+            deep = {"and": [deep, "f.a"]}
+        doc = {"name": "t", "dim": 2,
+               "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
+                                              ["b", [[[0, 0], [1, 0]]]]]}},
+               "propositions": {"deep": deep, "a": "f.a"}}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", str(path), "deep", "a")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: input is nested too deeply\n"
 
     def test_lp_check_query_matches_lp_check(self, capsys, tmp_path):
         from qopposition.scenarios import builtin, serialize

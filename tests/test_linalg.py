@@ -136,6 +136,15 @@ class TestSubspaceCalculus:
     def test_zero_subspace_contains_nothing(self):
         assert not Subspace.zero(3).contains([1, 2, 3])
 
+    def test_tiny_vectors_follow_the_relative_rule(self):
+        # gram_schmidt keeps [1e-10, 0] as a line, and contains decides the
+        # same vector by the same rule: only the zero vector is refused
+        line = gram_schmidt([[1e-10, 0]])
+        assert line.contains([1e-10, 0])
+        assert not line.contains([1e-10, 1e-10])
+        with pytest.raises(ValueError, match="zero vector"):
+            line.contains([0, 0])
+
     def test_contains_rejects_a_wrong_size_vector(self):
         with pytest.raises(DimensionMismatch):
             gram_schmidt([[1, 0]]).contains([1, 0, 0])

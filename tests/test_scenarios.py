@@ -44,6 +44,14 @@ class TestBuiltins:
         # every result is JSON-serializable in canonical form
         canonical_json(results)
 
+    def test_each_call_is_fresh(self):
+        before = serialize(builtin("cat"))
+        sc = builtin("cat")
+        sc.queries[0]["args"]["p"] = "alive"
+        sc.queries.append({"op": "teleport"})
+        sc.states.clear()
+        assert serialize(builtin("cat")) == before
+
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError):
             builtin("nope")
