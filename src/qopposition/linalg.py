@@ -5,10 +5,13 @@ eigensolver for Hermitian matrices, and the subspace calculus
 Intersections and orthocomplements come from singular value
 decompositions.  Every membership decision, the meet's included, is the
 `contains` residual test at one eps; the single global default is EPS.
-Every value is immutable after construction and every function is pure.
+Inputs are validated once, at the public boundary; the meet and the
+opposition walk share its kernel.  Values are immutable, functions pure.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,9 +44,15 @@ def as_vector(v) -> np.ndarray:
         raise ValueError("vector must have at least one component")
     if a.size > MAX_DIM:
         raise DimensionMismatch(f"dimension {a.size} exceeds supported maximum {MAX_DIM}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("vector has non-finite components")
     return a
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a 1-d complex array, bit for bit, without its dispatch."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def as_matrix(m) -> np.ndarray:
@@ -119,7 +128,8 @@ class Subspace:
                 f"basis shape {basis.shape} incompatible with ambient dim {ambient_dim}")
         if basis.shape[1] > ambient_dim:
             raise ValueError("basis has more vectors than the ambient dimension")
-        gram = basis.conj().T @ basis
+        self._bh = basis.conj().T
+        gram = self._bh @ basis
         if basis.shape[1] and float(np.max(np.abs(gram - np.eye(basis.shape[1])))) > 10 * eps:
             raise ValueError("basis is not orthonormal within tolerance")
         self.ambient_dim = int(ambient_dim)
@@ -146,12 +156,15 @@ class Subspace:
         a relative rule at every scale; only the zero vector is refused."""
         check_eps(eps)
         v = as_vector(v)
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
+        if _norm(v) == 0.0:
             raise ValueError("membership is undefined for the zero vector")
         if v.size != self.ambient_dim:
             raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")
-        return float(np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v))) < eps * nv
+        return self._contains(v, eps)
+
+    def _contains(self, v: np.ndarray, eps: float) -> bool:
+        """The membership kernel: v finite, nonzero, of the ambient size; eps checked."""
+        return _norm(v - self.basis @ (self._bh @ v)) < eps * _norm(v)
 
     def is_subset(self, other: "Subspace", eps: float = EPS) -> bool:
         self._check_ambient(other)
@@ -171,19 +184,19 @@ class Subspace:
         order.  For each right singular vector v of the residual
         (I - P_b) B_a, the unit direction B_a v lies in a and its residual
         against b is the matching singular value.  The meet is spanned by
-        the directions that `b.contains` accepts: a singular value below
-        eps, decided by the same test at the same eps as truth(), so
-        rounding at the threshold cannot emit a meet vector that fails
-        membership.  Smallest residual first."""
+        the directions that the membership kernel of `contains` accepts in
+        b: a singular value below eps, decided by the same test at the same
+        eps as truth(), so rounding at the threshold cannot emit a meet
+        vector that fails membership.  Smallest residual first."""
         self._check_ambient(other)
         check_eps(eps)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
         a, b = sorted((self, other), key=lambda s: (s.dim, s.basis.tobytes()))
-        residual = a.basis - b.basis @ (b.basis.conj().T @ a.basis)
+        residual = a.basis - b.basis @ (b._bh @ a.basis)
         _, _, vh = np.linalg.svd(residual, full_matrices=False)
         dirs = a.basis @ vh[::-1].conj().T
-        keep = [i for i in range(dirs.shape[1]) if b.contains(dirs[:, i], eps)]
+        keep = [i for i in range(dirs.shape[1]) if b._contains(dirs[:, i], eps)]
         return Subspace(self.ambient_dim, dirs[:, keep], eps)
 
     def orthocomplement(self, eps: float = EPS) -> "Subspace":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, DimensionMismatch
+from .linalg import EPS, DimensionMismatch, check_eps
 from .quantum import (And, Literal, Or, Proposition, State, ambient_dim_of,
                       leaves, truth)
 
@@ -91,8 +91,8 @@ def _check_same_ambient(p: Proposition, q: Proposition) -> int:
 
 # --- membership patterns ----------------------------------------------------
 
-def _candidates(basis: np.ndarray, k: int, eps: float):
-    """States spanned by the d columns of basis: the columns, then the
+def _candidates(basis: np.ndarray, k: int):
+    """Unit vectors spanned by the d columns of basis: the columns, then the
     moment curve sum_m s^m b_m at the k*d + 1 roots of unity
     s = exp(2 pi i t / (k*d + 1)).  Any d points of the curve are
     independent (Vandermonde at distinct nodes), so a proper subspace of the
@@ -103,29 +103,31 @@ def _candidates(basis: np.ndarray, k: int, eps: float):
     point of the curve is the column itself."""
     d = basis.shape[1]
     for m in range(d):
-        yield State(basis[:, m], eps)
+        yield basis[:, m]
     if d > 1:
         nodes = k * d + 1
         for t in range(nodes):
             c = np.exp(2j * np.pi * t / nodes * np.arange(d))
             c /= np.linalg.norm(c)
-            yield State.normalized(sum(x * basis[:, m] for m, x in enumerate(c)), eps)
+            v = sum(x * basis[:, m] for m, x in enumerate(c))
+            yield v / np.linalg.norm(v)
 
 
-def _patterns(p: Proposition, q: Proposition, eps: float):
-    """(leaf index, realizable patterns) for the leaves of p and q.
+def _patterns(props, eps: float):
+    """(truth tables, witness states) over the realizable patterns of the
+    leaves of props[0] and props[1], which hold every leaf of props.
 
-    The leaf index maps id(subspace) to its position among the distinct
-    leaf subspaces, in order of appearance.  Each pattern is a pair
-    (frozenset of positions, witness state), found by a depth-first walk
-    over subsets that skips every superset of an empty meet and raises
-    OppositionError past MEET_BUDGET nonzero meets.  For the
-    empty pattern the whole space is spanned by the eigenbasis of the first
-    leaf's orthogonal family when it has one, so that witness is an
-    eigenstate, or an equal-weight superposition of eigenstates, of the
-    observable in play."""
-    n = _check_same_ambient(p, q)
-    lits = leaves(p) + leaves(q)
+    A pattern is the set of distinct leaf subspaces that hold its witness
+    state.  A depth-first walk over subsets finds them, skipping every
+    superset of an empty meet and raising OppositionError past MEET_BUDGET
+    nonzero meets; each table lists a prop's truth at every pattern, in
+    the order of the walk.  For the empty pattern the whole space is
+    spanned by the eigenbasis of the first leaf's orthogonal family when
+    it has one, so that witness is an eigenstate, or an equal-weight
+    superposition of eigenstates, of the observable in play."""
+    n = _check_same_ambient(props[0], props[1])
+    check_eps(eps)
+    lits = leaves(props[0]) + leaves(props[1])
     subs = list({id(lit.subspace): lit.subspace for lit in lits}.values())
     fam = lits[0].family
     whole = (np.hstack([sub.basis for _, sub in fam.members]) if fam is not None
@@ -141,10 +143,9 @@ def _patterns(p: Proposition, q: Proposition, eps: float):
                 f"{len(subs)} leaf subspaces have more than {MEET_BUDGET} nonzero "
                 f"meets (the meet budget); deciding visits each of them")
         basis = whole if meet is None else meet.basis
-        for st in _candidates(basis, len(subs), eps):
-            if all(sub.contains(st.vector, eps) == (j in inside)
-                   for j, sub in enumerate(subs)):
-                found.append((inside, st))
+        for v in _candidates(basis, len(subs)):
+            if all(sub._contains(v, eps) == (j in inside) for j, sub in enumerate(subs)):
+                found.append((inside, State(v, eps)))
                 break
         for j in range(start, len(subs)):
             nxt = subs[j] if meet is None else meet.intersect(subs[j], eps)
@@ -152,7 +153,9 @@ def _patterns(p: Proposition, q: Proposition, eps: float):
                 walk(inside | {j}, nxt, j + 1)
 
     walk(frozenset(), None, 0)
-    return {id(sub): j for j, sub in enumerate(subs)}, found
+    index = {id(sub): j for j, sub in enumerate(subs)}
+    return ([[_holds(p, inside, index) for inside, _ in found] for p in props],
+            [st for _, st in found])
 
 
 def _holds(p: Proposition, inside: frozenset, index: dict) -> bool:
@@ -164,14 +167,17 @@ def _holds(p: Proposition, inside: frozenset, index: dict) -> bool:
     return any(_holds(part, inside, index) for part in p.parts)
 
 
-def _truth_pairs(p: Proposition, q: Proposition, patterns) -> dict:
-    """Each realizable (truth of p, truth of q) pair with the witness state
-    of the first pattern that realizes it."""
-    index, found = patterns
+def _truth_pairs(tp: list, tq: list, states: list) -> dict:
+    """Each (p, q) truth pair of the tables, with its first pattern's state."""
     pairs = {}
-    for inside, st in found:
-        pairs.setdefault((_holds(p, inside, index), _holds(q, inside, index)), st)
+    for pair, st in zip(zip(tp, tq), states):
+        pairs.setdefault(pair, st)
     return pairs
+
+
+def _decide(p: Proposition, q: Proposition, eps: float) -> dict:
+    (tp, tq), states = _patterns((p, q), eps)
+    return _truth_pairs(tp, tq, states)
 
 
 def _both(p, q, pairs: dict, value: bool):
@@ -181,8 +187,7 @@ def _both(p, q, pairs: dict, value: bool):
     return True, Witness(st, (p, q), (value, value))
 
 
-def _classify(p: Proposition, q: Proposition, patterns) -> Classification:
-    pairs = _truth_pairs(p, q, patterns)
+def _classify(p: Proposition, q: Proposition, pairs: dict) -> Classification:
     ct, wt = _both(p, q, pairs, True)
     cf, wf = _both(p, q, pairs, False)
     witnesses = {k: w for k, w in (("both_true", wt), ("both_false", wf))
@@ -261,22 +266,22 @@ def random_witness_search(props, pattern, seed: int,
 
 def can_both_be_true(p: Proposition, q: Proposition, eps: float = EPS):
     """(answer, witness): (True, a state making both true) or (False, None)."""
-    return _both(p, q, _truth_pairs(p, q, _patterns(p, q, eps)), True)
+    return _both(p, q, _decide(p, q, eps), True)
 
 
 def can_both_be_false(p: Proposition, q: Proposition, eps: float = EPS):
     """(answer, witness): (True, a state making both false) or (False, None)."""
-    return _both(p, q, _truth_pairs(p, q, _patterns(p, q, eps)), False)
+    return _both(p, q, _decide(p, q, eps), False)
 
 
 def entails(p: Proposition, q: Proposition, eps: float = EPS) -> bool:
     """Does every state making p true make q true?"""
-    return (True, False) not in _truth_pairs(p, q, _patterns(p, q, eps))
+    return (True, False) not in _decide(p, q, eps)
 
 
 def classify(p: Proposition, q: Proposition, eps: float = EPS) -> Classification:
     """Classify the opposition relation between two propositions."""
-    return _classify(p, q, _patterns(p, q, eps))
+    return _classify(p, q, _decide(p, q, eps))
 
 
 # --- square and hexagon ---------------------------------------------------
@@ -318,22 +323,24 @@ class Polygon:
 
 
 def _build(a: Proposition, e: Proposition, names, pattern, eps) -> Polygon:
-    # every corner's leaves are leaves of a or e: one enumeration serves all
-    patterns = _patterns(a, e, eps)
-    base = _classify(a, e, patterns)
-    if base.relation is not Relation.CONTRARY:
-        raise OppositionError(
-            f"base pair is {base.describe('A', 'E')}, not Contrary; "
-            "cannot place it at the A and E corners")
     positions = {"A": a, "E": e, "I": e.negate(), "O": a.negate()}
     if "U" in names:
         positions["U"] = Or((a, e))
         positions["Y"] = And((positions["I"], positions["O"]))
+    # every corner's leaves are leaves of a or e: one enumeration serves all
+    tables, states = _patterns([positions[x] for x in names], eps)
+    tables = dict(zip(names, tables))
+    base = _classify(a, e, _truth_pairs(tables["A"], tables["E"], states))
+    if base.relation is not Relation.CONTRARY:
+        raise OppositionError(
+            f"base pair is {base.describe('A', 'E')}, not Contrary; "
+            "cannot place it at the A and E corners")
     relations = {}
     deviations = []
     for i, x in enumerate(names):
         for y in names[i + 1:]:
-            c = _classify(positions[x], positions[y], patterns)
+            c = _classify(positions[x], positions[y],
+                          _truth_pairs(tables[x], tables[y], states))
             relations[(x, y)] = c
             want_rel, want_dir = pattern[(x, y)]
             if (c.relation, c.direction) != (want_rel, want_dir):

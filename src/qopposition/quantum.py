@@ -40,7 +40,7 @@ class State:
     def normalized(vector, eps: float = EPS) -> "State":
         v = as_vector(vector)
         n = float(np.linalg.norm(v))
-        if n < eps:
+        if n == 0.0:
             raise QuantumError("cannot normalize a (near-)zero vector")
         return State(v / n, eps)
 

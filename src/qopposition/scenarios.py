@@ -167,7 +167,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
     for sname, raw in sorted(_section(doc, "states").items()):
         v = _vec_in(raw, dim, f"state {sname!r}")
         n = float(np.linalg.norm(v))
-        if n < 1e-6:
+        if n == 0.0:
             raise ScenarioError(f"state {sname!r} is (near-)zero and cannot be normalized")
         if abs(n - 1.0) <= eps:
             # already unit within tolerance: keep the components bit-exact

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
-                                LinalgError, Subspace, gram_schmidt,
+                                LinalgError, Subspace, _norm, gram_schmidt,
                                 hermitian_eig)
 
 from helpers import haar_unitary, random_hermitian, random_subspace, random_state
@@ -149,6 +149,16 @@ class TestSubspaceCalculus:
         with pytest.raises(DimensionMismatch):
             gram_schmidt([[1, 0]]).contains([1, 0, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_contains_rejects_non_finite_vectors(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_schmidt([[1, 0]]).contains([1, bad])
+
+    def test_zero_vector_of_the_wrong_size_is_refused_as_zero(self):
+        # the zero check comes before the size check
+        with pytest.raises(ValueError, match="zero vector"):
+            gram_schmidt([[1, 0]]).contains([0, 0, 0])
+
     def test_zero_subset_of_anything(self):
         assert Subspace.zero(2).is_subset(gram_schmidt([[1, 0]]))
 
@@ -234,3 +244,17 @@ class TestSubspaceCalculus:
         for _ in range(20):
             psi = random_state(3, rng).vector
             assert abs(np.linalg.norm(psi + psi) - 2.0) < 1e-12
+
+
+class TestMembershipKernel:
+    def test_norm_is_numpys_bit_for_bit(self):
+        # the walk and the meet decide membership with _norm; it must give
+        # np.linalg.norm's exact value, on contiguous vectors and on the
+        # strided column views that Subspace.intersect passes
+        rng = np.random.default_rng(41)
+        for n in range(1, 17):
+            for scale in 10.0 ** np.arange(-150, 151, 25):
+                m = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))) * scale
+                for i in range(3):
+                    for v in (m[:, i], m[:, i].copy()):
+                        assert _norm(v) == float(np.linalg.norm(v))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qopposition.opposition import (MEET_BUDGET, OppositionError, Relation,
                                     classify, entails, random_witness_search)
 from qopposition.quantum import (And, Literal, Or, OrthoFamily, State, leaves,
                                  truth, minimal_attribution)
+from qopposition.scenarios import BUILTIN_NAMES, builtin
 
 from helpers import (apply_unitary_literal, haar_unitary, random_literal,
                      random_state, random_subspace)
@@ -280,6 +282,43 @@ class TestHexagon:
         with pytest.raises(OppositionError):
             # E is unsatisfiable: the base pair is not contrary
             build_hexagon(lit(fam, "all"), lit(fam, "none"))
+
+    @staticmethod
+    def assert_hexagon_is_classify(a, e):
+        # the hexagon decides all 15 pairs from per-corner truth tables over
+        # one walk; each pair must get what classify gives it on its own
+        hx = build_hexagon(a, e)
+        for (x, y), c in hx.relations.items():
+            d = classify(hx.positions[x], hx.positions[y])
+            assert (c.relation, c.direction) == (d.relation, d.direction)
+            assert sorted(c.witnesses) == sorted(d.witnesses)
+            for key, w in c.witnesses.items():
+                assert w.state.vector.tobytes() == d.witnesses[key].state.vector.tobytes()
+
+    def test_relations_are_classify_on_builtin_contrary_pairs(self):
+        count = 0
+        for name in BUILTIN_NAMES:
+            props = builtin(name).propositions.values()
+            for a, e in itertools.permutations(props, 2):
+                if classify(a, e).relation is Relation.CONTRARY:
+                    self.assert_hexagon_is_classify(a, e)
+                    count += 1
+        assert count > 0
+
+    def test_relations_are_classify_on_seeded_c8_pairs(self):
+        rng = np.random.default_rng(53)
+        for ra, re_ in ((1, 1), (1, 7), (2, 3), (3, 5), (4, 4), (6, 2)):
+            a = Literal(random_subspace(8, ra, rng), name="A")
+            e = Literal(random_subspace(8, re_, rng), name="E")
+            self.assert_hexagon_is_classify(a, e)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, 0.5, math.nan])
+@pytest.mark.parametrize("decide", [classify, can_both_be_true, can_both_be_false,
+                                    entails, build_square, build_hexagon])
+def test_every_decision_checks_eps(u_x, d_x, decide, eps):
+    with pytest.raises(ValueError, match="eps"):
+        decide(u_x, d_x, eps)
 
 
 def generic_cell(props, pattern):

@@ -35,6 +35,12 @@ class TestState:
     def test_normalized_constructor(self):
         assert np.allclose(State.normalized([3, 0]).vector, [1, 0])
 
+    def test_normalized_follows_the_relative_rule(self):
+        # only the zero vector is refused, whatever the scale
+        assert np.array_equal(State.normalized([1e-10, 0]).vector, [1, 0])
+        with pytest.raises(QuantumError, match="zero"):
+            State.normalized([0, 0])
+
 
 class TestSuperpose:
     def test_basis_conversion_back_to_up_z(self):

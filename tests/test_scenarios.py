@@ -178,6 +178,12 @@ class TestLoading:
         assert sc.states["s"].vector[0].real == r
         assert sc.warnings == []
 
+    def test_tiny_state_renormalized_with_warning(self):
+        doc = {"name": "t", "dim": 2, "states": {"s": [[1e-7, 0.0], [0.0, 0.0]]}}
+        sc = load_scenario(json.dumps(doc))
+        assert any("renormalized" in w for w in sc.warnings)
+        assert np.array_equal(sc.states["s"].vector, [1, 0])
+
     def test_zero_state_rejected(self):
         doc = {"name": "t", "dim": 2,
                "states": {"s": [[0.0, 0.0], [0.0, 0.0]]}}
