@@ -167,8 +167,9 @@ class Subspace:
         return _norm(v - self.basis @ (self._bh @ v)) < eps * _norm(v)
 
     def is_subset(self, other: "Subspace", eps: float = EPS) -> bool:
+        check_eps(eps)
         self._check_ambient(other)
-        return all(other.contains(self.basis[:, i], eps) for i in range(self.dim))
+        return all(other._contains(self.basis[:, i], eps) for i in range(self.dim))
 
     def is_zero(self) -> bool:
         return self.dim == 0

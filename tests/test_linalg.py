@@ -162,6 +162,12 @@ class TestSubspaceCalculus:
     def test_zero_subset_of_anything(self):
         assert Subspace.zero(2).is_subset(gram_schmidt([[1, 0]]))
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, 1e-3])
+    def test_zero_subset_checks_eps(self, eps):
+        # the zero subspace has no basis column to hand to contains
+        with pytest.raises(ValueError, match="eps must lie"):
+            Subspace.zero(2).is_subset(gram_schmidt([[1, 0]]), eps=eps)
+
     def test_line_subset_of_full(self):
         assert gram_schmidt([[1, 0]]).is_subset(Subspace.full(2))
 

@@ -209,6 +209,70 @@ class TestOracle:
                 eval3(conclusion, v).designated for v in oracle([conclusion], mode))
 
 
+class TestBudgetScale:
+    """The equivalence chain on 15 labels has 3^15 LP valuations, the whole
+    budget, so the scan runs its chunks over leading atoms fixed at one
+    value each."""
+
+    LABELS = [f"l{i:02d}" for i in range(15)]
+
+    def test_lp_models_are_the_closed_form(self):
+        # at most one T and at most one F, the rest B: k^2 + k + 1 models,
+        # the first setting the first atom F
+        premises = equivalence_chain(self.LABELS)
+        names = sorted(atoms(*premises))
+        got = models(premises, LP)
+        rows = [tuple(m[n] for n in names) for m in got]
+        assert len(rows) == len(set(rows)) == 15 * 15 + 15 + 1
+        assert rows == sorted(rows)
+        assert all(r.count(TV.T) <= 1 and r.count(TV.F) <= 1 for r in rows)
+        assert all(type(x) is TV for r in rows for x in r)
+        assert rows[0] == (TV.F,) + (TV.B,) * 14
+        assert satisfiable(premises, LP) == got[0]
+
+    def test_leading_atoms_keep_their_order(self):
+        # the chain is symmetric in its atoms; designating the first one
+        # breaks the symmetry, drops the 15 models that set it F, and makes
+        # the first model set the second atom F
+        premises = equivalence_chain(self.LABELS) + [Atom("p_l00")]
+        want = {f"p_{lab}": TV.B for lab in self.LABELS}
+        want["p_l01"] = TV.F
+        got = models(premises, LP)
+        assert len(got) == 15 * 15 + 15 + 1 - 15
+        assert got[0] == satisfiable(premises, LP) == want
+
+    def test_lp_consequences_over_every_chunk(self):
+        premises = equivalence_chain(self.LABELS)
+        first, last = Atom("p_l00"), Atom("p_l14")
+        # no two atoms are both T, nor both F
+        assert consequence(premises, Not(AndF(first, last)), LP) is True
+        assert consequence(premises, OrF(first, last), LP) is True
+        assert consequence(premises, Iff(first, Not(first)), LP) is False
+
+    def test_classically_empty(self):
+        premises = equivalence_chain(self.LABELS)
+        assert satisfiable(premises, CLASSICAL) is None
+        assert models(premises, CLASSICAL) == []
+        assert consequence(premises, AndF(Atom("x"), Not(Atom("x"))), CLASSICAL) is True
+
+
+class TestDepth:
+    """The deepest formulas the parser accepts are decided, not refused for
+    the evaluator's stack."""
+
+    @pytest.mark.parametrize("text", ["(p & " * 150 + "q" + ")" * 150, "!" * 300 + "p"],
+                             ids=["parentheses", "negations"])
+    @pytest.mark.parametrize("mode", [LP, CLASSICAL])
+    def test_deep_formulas_are_decided(self, text, mode):
+        f = parse_formula(text)
+        want = [v for v in oracle([f], mode) if eval3(f, v).designated]
+        assert want
+        assert models([f], mode) == want
+        assert satisfiable([f], mode) == want[0]
+        assert consequence([f], Atom("p"), mode) is True
+        assert consequence([Atom("p")], f, mode) is ("q" not in text)
+
+
 class TestGenerators:
     def test_postulate_two_components(self):
         got = [str(f) for f in postulate_of_contradiction(["s1", "s2"])]
