@@ -12,6 +12,7 @@ opposition walk share its kernel.  Values are immutable, functions pure.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -50,9 +51,15 @@ def as_vector(v) -> np.ndarray:
 
 
 def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm of a 1-d complex array, bit for bit, without its dispatch."""
+    """np.linalg.norm of a 1-d complex array, bit for bit, without its
+    dispatch; rescaled by max |x_i| only where the plain sum of squares is
+    below the smallest normal double (zero included) or infinite."""
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    s = re.dot(re) + im.dot(im)
+    if sys.float_info.min <= s < math.inf:
+        return math.sqrt(s)
+    m = float(np.max(np.abs(x)))
+    return m * _norm(np.abs(x) / m) if m else 0.0
 
 
 def as_matrix(m) -> np.ndarray:
@@ -188,10 +195,23 @@ class Subspace:
         the directions that the membership kernel of `contains` accepts in
         b: a singular value below eps, decided by the same test at the same
         eps as truth(), so rounding at the threshold cannot emit a meet
-        vector that fails membership.  Smallest residual first."""
+        vector that fails membership.  Smallest residual first.
+
+        Empty meets are certified first.  With C = B_b^H B_a, a direction
+        d = B_a x that the kernel accepts has |B_b C x| > (1 - eps)|d|; as
+        bases may stray 10*eps per Gram entry (s = 160*eps over 16 columns),
+        sigma_max(C)^2 > (1 - eps)^2 (1 - s)/(1 + s) > 1 - 324*eps.  So the
+        meet is zero when |C|_F^2, or else sigma_max(C)^2, is at most
+        1 - max(400*eps, 1e-4), which is at least 1.9e-5 and 76*eps under
+        the bound: a margin far above rounding."""
         self._check_ambient(other)
         check_eps(eps)
         if self.is_zero() or other.is_zero():
+            return Subspace.zero(self.ambient_dim)
+        cross = other._bh @ self.basis
+        limit = 1.0 - max(400.0 * eps, 1e-4)
+        if (np.vdot(cross, cross).real <= limit
+                or np.linalg.svd(cross, compute_uv=False)[0] ** 2 <= limit):
             return Subspace.zero(self.ambient_dim)
         a, b = sorted((self, other), key=lambda s: (s.dim, s.basis.tobytes()))
         residual = a.basis - b.basis @ (b._bh @ a.basis)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (EPS, DimensionMismatch, Subspace, as_vector, as_matrix,
+from .linalg import (EPS, DimensionMismatch, Subspace, _norm, as_vector, as_matrix,
                      check_eps, hermitian_eig, is_hermitian)
 
 
@@ -26,7 +26,7 @@ class State:
 
     def __init__(self, vector, eps: float = EPS):
         v = as_vector(vector)
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         if abs(n - 1.0) > eps:
             raise QuantumError(f"state vector has norm {n}, expected 1")
         self.vector = v
@@ -39,7 +39,7 @@ class State:
     @staticmethod
     def normalized(vector, eps: float = EPS) -> "State":
         v = as_vector(vector)
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         if n == 0.0:
             raise QuantumError("cannot normalize a (near-)zero vector")
         return State(v / n, eps)

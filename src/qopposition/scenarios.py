@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .linalg import EPS, MAX_DIM, Subspace, gram_schmidt
+from .linalg import EPS, MAX_DIM, Subspace, _norm, gram_schmidt
 from .opposition import build_hexagon, build_square, classify
 from .quantum import (And, Literal, Observable, Or, OrthoFamily, Proposition,
                       State, born, minimal_attribution,
@@ -166,7 +166,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
 
     for sname, raw in sorted(_section(doc, "states").items()):
         v = _vec_in(raw, dim, f"state {sname!r}")
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         if n == 0.0:
             raise ScenarioError(f"state {sname!r} is (near-)zero and cannot be normalized")
         if abs(n - 1.0) <= eps:

@@ -6,10 +6,12 @@ import pytest
 from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
                                 LinalgError, Subspace, _norm, gram_schmidt,
                                 hermitian_eig)
+from qopposition.quantum import Observable, family_from_observable
 
 from helpers import haar_unitary, random_hermitian, random_subspace, random_state
 
 R2 = 1.0 / math.sqrt(2.0)
+_SVD = np.linalg.svd
 
 
 class TestGramSchmidt:
@@ -264,3 +266,120 @@ class TestMembershipKernel:
                 for i in range(3):
                     for v in (m[:, i], m[:, i].copy()):
                         assert _norm(v) == float(np.linalg.norm(v))
+
+    def test_tiny_member_of_a_line(self):
+        # 1e-165 squared underflows to zero; the rescaled norm does not
+        line = gram_schmidt([[1, 0]])
+        assert line.contains([1e-165, 0])
+        assert not line.contains([1e-165, 1e-165])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_membership_is_scale_free(self):
+        # the plain sum of squares overflows above about 1e154 (numpy warns)
+        # and underflows below about 1e-154; _norm rescales only there
+        rng = np.random.default_rng(43)
+        scales = 10.0 ** np.arange(-300, 301, 20)
+        for n, k in ((2, 1), (5, 2), (16, 7)):
+            s = random_subspace(n, k, rng)
+            inside = s.basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            outside = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for v, want in ((inside, True), (outside, False)):
+                assert s.contains(v) == want
+                for c in scales:
+                    assert s.contains(c * v) == want, (n, k, c)
+
+
+def _certificate_limit(eps):
+    # the bound on the largest squared cosine that Subspace.intersect derives
+    return 1.0 - max(400.0 * eps, 1e-4)
+
+
+def _residual_svd_meet(s, t, eps):
+    """The meet's basis as the residual SVD alone computes it."""
+    a, b = sorted((s, t), key=lambda x: (x.dim, x.basis.tobytes()))
+    residual = a.basis - b.basis @ (b._bh @ a.basis)
+    _, _, vh = _SVD(residual, full_matrices=False)
+    dirs = a.basis @ vh[::-1].conj().T
+    return dirs[:, [i for i in range(dirs.shape[1]) if b._contains(dirs[:, i], eps)]]
+
+
+def _at_slack(basis, eps, rng):
+    """The same span on a basis whose Gram matrix strays about 9*eps per
+    entry, just inside the 10*eps the Subspace constructor allows."""
+    k = basis.shape[1]
+    h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    h = h + h.conj().T
+    return basis @ (np.eye(k) + 4.5 * eps * h / np.max(np.abs(h)))
+
+
+def _angled_pair(n, k, sin2, rng):
+    """Bases of two k-dim subspaces of C^n (2k <= n) whose smallest
+    principal angle has squared sine sin2; the others lie in [pi/4, pi/2)."""
+    u = haar_unitary(n, rng)
+    angles = [math.asin(math.sqrt(sin2)), *rng.uniform(math.pi / 4, math.pi / 2, k - 1)]
+    b = [math.cos(x) * u[:, j] + math.sin(x) * u[:, k + j] for j, x in enumerate(angles)]
+    return u[:, :k], np.column_stack(b)
+
+
+class TestMeetCertificate:
+    """Subspace.intersect returns the zero meet without the residual SVD
+    when the cosines of the cross-Gram matrix show that no direction can
+    pass the membership kernel."""
+
+    @pytest.mark.parametrize("eps", [1e-13, EPS, 2.5e-7, 1e-6, 9.9e-4])
+    def test_sound_and_bit_exact(self, eps, monkeypatch):
+        residual_svds = []
+
+        def counting_svd(m, *args, compute_uv=True, **kwargs):
+            residual_svds.append(compute_uv)
+            return _SVD(m, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(67)
+        gap = 1.0 - _certificate_limit(eps)
+        for n in range(2, 17):
+            u = haar_unitary(n, rng)
+            ka = int(rng.integers(1, n))
+            kb = int(rng.integers(1, n - ka + 1))
+            cases = [(u[:, :ka], u[:, n - kb:], None),             # orthogonal
+                     (u[:, :ka], u[:, ka - 1:ka - 1 + kb], None),  # one shared direction
+                     (u[:, :ka], random_subspace(n, kb, rng).basis, None)]  # generic
+            k = int(rng.integers(1, n // 2 + 1))
+            for side in (1 + 1e-3, 1 - 1e-3):
+                a, b = _angled_pair(n, k, gap * side, rng)
+                cases += [(a, b, side > 1), (_at_slack(a, eps, rng), _at_slack(b, eps, rng), None)]
+            for a, b, fires in cases:
+                s, t = Subspace(n, a, eps), Subspace(n, b, eps)
+                for x, y in ((s, t), (t, s)):
+                    residual_svds.clear()
+                    got = x.intersect(y, eps).basis
+                    fired = True not in residual_svds
+                    want = _residual_svd_meet(x, y, eps)
+                    if fired:
+                        assert want.shape[1] == 0, (n, x.dim, y.dim)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    if fires is not None:
+                        assert fired == fires, (n, k, side)
+
+    def test_empty_meets_skip_the_residual_svd(self, monkeypatch):
+        # a later edit must not drop the certificate: the meets of members
+        # of one family and of lines at least 0.1 rad apart are settled by
+        # the Frobenius norm alone, with no SVD at all
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rng = np.random.default_rng(61)
+        for n in range(2, 17):
+            u = haar_unitary(n, rng)
+            spectrum = rng.integers(0, 4, n).astype(float)
+            fam = family_from_observable(Observable((u * spectrum) @ u.conj().T))
+            subs = [sub for _, sub in fam.members]
+            for s in subs:
+                for t in subs:
+                    if s is not t:
+                        assert s.intersect(t).is_zero()
+            for theta in (0.1, 0.5, math.pi / 2):
+                a = gram_schmidt([u[:, 0]])
+                b = gram_schmidt([math.cos(theta) * u[:, 0] + math.sin(theta) * u[:, 1]])
+                assert a.intersect(b).is_zero() and b.intersect(a).is_zero()

@@ -38,8 +38,16 @@ class TestState:
     def test_normalized_follows_the_relative_rule(self):
         # only the zero vector is refused, whatever the scale
         assert np.array_equal(State.normalized([1e-10, 0]).vector, [1, 0])
+        assert State.normalized([1e-160, 0]).vector.tolist() == [1, 0]
         with pytest.raises(QuantumError, match="zero"):
             State.normalized([0, 0])
+
+    @pytest.mark.parametrize("tiny", [1e-155, 1e-160, 1e-300])
+    def test_normalized_below_the_square_underflow(self, tiny):
+        # the squares of these components are subnormal or zero; the norm
+        # rescales by the largest component instead of losing their bits
+        psi = State.normalized([tiny, 0], eps=1e-15)
+        assert abs(psi.vector[0] - 1) <= 2e-16 and psi.vector[1] == 0
 
 
 class TestSuperpose:
