@@ -256,7 +256,7 @@ def gram_schmidt(vectors, eps: float = EPS) -> Subspace:
         for _ in range(2):  # one re-orthogonalization pass for stability
             for b in basis:
                 w = w - np.vdot(b, w) * b
-        r = float(np.linalg.norm(w))
-        if r > eps * float(np.linalg.norm(v)):
+        r = _norm(w)
+        if r > eps * _norm(v):
             basis.append(w / r)
     return Subspace(n, np.column_stack(basis) if basis else None, eps)

@@ -310,16 +310,14 @@ class _Parser:
         return f
 
     def binary(self, level: int) -> Formula:
-        """A chain of the connective at `level` over operands one level
-        tighter."""
-        if level == len(_BINARY):
-            return self.unary()
-        symbol, node, right = _BINARY[level]
-        f = self.binary(level + 1)
-        while self.eat(symbol):
-            # a right-associative connective takes the rest of its chain as
-            # its right operand, so the loop then runs once
-            f = node(f, self.binary(level if right else level + 1))
+        """A chain of connectives at `level` or tighter, by precedence
+        climbing: each right operand is the chain of connectives binding
+        tighter than its own, or as tight for a right-associative one."""
+        f = self.unary()
+        while (i := next((i for i in range(level, len(_BINARY))
+                          if self.eat(_BINARY[i][0])), None)) is not None:
+            _, node, right = _BINARY[i]
+            f = node(f, self.binary(i if right else i + 1))
         return f
 
     def unary(self) -> Formula:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, DimensionMismatch, check_eps
+from .linalg import EPS, _norm, check_eps
 from .quantum import (And, Literal, Or, Proposition, State, ambient_dim_of,
                       leaves, truth)
 
@@ -82,13 +82,6 @@ class Classification:
         return self
 
 
-def _check_same_ambient(p: Proposition, q: Proposition) -> int:
-    dp, dq = ambient_dim_of(p), ambient_dim_of(q)
-    if dp != dq:
-        raise DimensionMismatch(f"propositions live in dims {dp} vs {dq}")
-    return dp
-
-
 # --- membership patterns ----------------------------------------------------
 
 def _candidates(basis: np.ndarray, k: int):
@@ -108,9 +101,9 @@ def _candidates(basis: np.ndarray, k: int):
         nodes = k * d + 1
         for t in range(nodes):
             c = np.exp(2j * np.pi * t / nodes * np.arange(d))
-            c /= np.linalg.norm(c)
+            c /= _norm(c)
             v = sum(x * basis[:, m] for m, x in enumerate(c))
-            yield v / np.linalg.norm(v)
+            yield v / _norm(v)
 
 
 def _patterns(props, eps: float):
@@ -118,17 +111,18 @@ def _patterns(props, eps: float):
     leaves of props[0] and props[1], which hold every leaf of props.
 
     A pattern is the set of distinct leaf subspaces that hold its witness
-    state.  A depth-first walk over subsets finds them, skipping every
+    state, keyed by the Subspace objects themselves (they hash by
+    identity).  A depth-first walk over subsets finds them, skipping every
     superset of an empty meet and raising OppositionError past MEET_BUDGET
     nonzero meets; each table lists a prop's truth at every pattern, in
     the order of the walk.  For the empty pattern the whole space is
     spanned by the eigenbasis of the first leaf's orthogonal family when
     it has one, so that witness is an eigenstate, or an equal-weight
     superposition of eigenstates, of the observable in play."""
-    n = _check_same_ambient(props[0], props[1])
-    check_eps(eps)
     lits = leaves(props[0]) + leaves(props[1])
-    subs = list({id(lit.subspace): lit.subspace for lit in lits}.values())
+    subs = list(dict.fromkeys(lit.subspace for lit in lits))
+    n = ambient_dim_of(subs)
+    check_eps(eps)
     fam = lits[0].family
     whole = (np.hstack([sub.basis for _, sub in fam.members]) if fam is not None
              else np.eye(n, dtype=complex))
@@ -144,27 +138,26 @@ def _patterns(props, eps: float):
                 f"meets (the meet budget); deciding visits each of them")
         basis = whole if meet is None else meet.basis
         for v in _candidates(basis, len(subs)):
-            if all(sub._contains(v, eps) == (j in inside) for j, sub in enumerate(subs)):
+            if all(sub._contains(v, eps) == (sub in inside) for sub in subs):
                 found.append((inside, State(v, eps)))
                 break
         for j in range(start, len(subs)):
             nxt = subs[j] if meet is None else meet.intersect(subs[j], eps)
             if not nxt.is_zero():
-                walk(inside | {j}, nxt, j + 1)
+                walk(inside | {subs[j]}, nxt, j + 1)
 
     walk(frozenset(), None, 0)
-    index = {id(sub): j for j, sub in enumerate(subs)}
-    return ([[_holds(p, inside, index) for inside, _ in found] for p in props],
+    return ([[_holds(p, inside) for inside, _ in found] for p in props],
             [st for _, st in found])
 
 
-def _holds(p: Proposition, inside: frozenset, index: dict) -> bool:
+def _holds(p: Proposition, inside: frozenset) -> bool:
     """Truth of p at every state whose membership pattern is `inside`."""
     if isinstance(p, Literal):
-        return (index[id(p.subspace)] in inside) == p.asserted
+        return (p.subspace in inside) == p.asserted
     if isinstance(p, And):
-        return all(_holds(part, inside, index) for part in p.parts)
-    return any(_holds(part, inside, index) for part in p.parts)
+        return all(_holds(part, inside) for part in p.parts)
+    return any(_holds(part, inside) for part in p.parts)
 
 
 def _truth_pairs(tp: list, tq: list, states: list) -> dict:
@@ -244,10 +237,7 @@ def random_witness_search(props, pattern, seed: int,
     pattern = tuple(bool(b) for b in pattern)
     if len(props) != len(pattern):
         raise ValueError("props and pattern lengths differ")
-    n = ambient_dim_of(props[0])
-    for p in props[1:]:
-        if ambient_dim_of(p) != n:
-            raise DimensionMismatch("propositions live in different dimensions")
+    n = ambient_dim_of(lit.subspace for p in props for lit in leaves(p))
     rng = np.random.default_rng(seed)
     remaining = trials
     while remaining > 0:

@@ -9,6 +9,7 @@ negations, which is what keeps contraries distinct from contradictories.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,8 @@ class State:
         n = _norm(v)
         if n == 0.0:
             raise QuantumError("cannot normalize a (near-)zero vector")
+        if n < sys.float_info.min:  # 1/n overflows: scale by an exact power of two
+            v, n = v * 2.0 ** 1022, n * 2.0 ** 1022
         return State(v / n, eps)
 
     def __repr__(self):
@@ -167,10 +170,11 @@ def leaves(p: Proposition):
     return out
 
 
-def ambient_dim_of(p: Proposition) -> int:
-    dims = {lit.subspace.ambient_dim for lit in leaves(p)}
+def ambient_dim_of(subspaces) -> int:
+    """The ambient dimension that every subspace given shares."""
+    dims = {s.ambient_dim for s in subspaces}
     if len(dims) != 1:
-        raise DimensionMismatch(f"proposition mixes ambient dimensions {dims}")
+        raise DimensionMismatch(f"leaves mix ambient dimensions {sorted(dims)}")
     return dims.pop()
 
 
@@ -189,8 +193,9 @@ def truth(p: Proposition, psi: State, eps: float = EPS) -> bool:
 
 
 def superpose(coefficients, states, eps: float = EPS) -> State:
-    """Normalized linear combination of states.  Raises on destructive
-    cancellation (combination of norm below eps)."""
+    """Normalized linear combination of states.  Any nonzero combination
+    is normalized, however small; only exact cancellation to the zero
+    vector raises, through State.normalized."""
     coefficients = [complex(c) for c in coefficients]
     states = list(states)
     if not states or len(coefficients) != len(states):
@@ -198,18 +203,14 @@ def superpose(coefficients, states, eps: float = EPS) -> State:
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise DimensionMismatch(f"states mix dimensions {dims}")
-    v = sum(c * s.vector for c, s in zip(coefficients, states))
-    if float(np.linalg.norm(v)) < eps:
-        raise QuantumError("superposition cancels to the zero vector")
-    return State.normalized(v, eps)
+    return State.normalized(sum(c * s.vector for c, s in zip(coefficients, states)), eps)
 
 
 def born(psi: State, s: Subspace) -> float:
     """Born probability |P_S psi|^2 of finding the state in the subspace."""
     if psi.dim != s.ambient_dim:
         raise DimensionMismatch(f"state dim {psi.dim} vs ambient {s.ambient_dim}")
-    p = float(np.linalg.norm(s.basis @ (s.basis.conj().T @ psi.vector)) ** 2)
-    return min(max(p, 0.0), 1.0)
+    return min(_norm(s.basis @ (s.basis.conj().T @ psi.vector)) ** 2, 1.0)
 
 
 def minimal_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> set:

@@ -69,11 +69,6 @@ class Scenario:
                 f"unknown proposition {text!r} (have {sorted(self.propositions)})")
         return p.negate() if negated else p
 
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return serialize(self) == serialize(other)
-
 
 # --- canonical JSON -------------------------------------------------------
 
@@ -97,18 +92,20 @@ def _vec_out(v) -> list:
     return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
 
 
-def _prop_out(p: Proposition):
+def _prop_out(p: Proposition, fam_names: dict):
+    """A proposition as the loader reads it; fam_names maps each of the
+    scenario's families (hashed by identity) to its key."""
     if isinstance(p, Literal):
-        if p.family is None or p.member is None:
-            raise ScenarioError("only family-member propositions are serializable")
-        fam_name = getattr(p.family, "_scenario_name", None)
-        ref = f"{fam_name}.{p.member}"
+        if p.family not in fam_names or p.member is None:
+            raise ScenarioError("only members of the scenario's families are serializable")
+        ref = f"{fam_names[p.family]}.{p.member}"
         return ref if p.asserted else "!" + ref
     key = "and" if isinstance(p, And) else "or"
-    return {key: [_prop_out(x) for x in p.parts]}
+    return {key: [_prop_out(x, fam_names) for x in p.parts]}
 
 
 def serialize(sc: Scenario) -> str:
+    fam_names = {f: n for n, f in sc.families.items()}
     doc = {
         "name": sc.name,
         "dim": sc.dim,
@@ -119,7 +116,7 @@ def serialize(sc: Scenario) -> str:
                                              for j in range(f.members[i][1].dim)]]
                                      for i, (lab, _) in enumerate(f.members)]}
                      for n, f in sc.families.items()},
-        "propositions": {n: _prop_out(p) for n, p in sc.propositions.items()},
+        "propositions": {n: _prop_out(p, fam_names) for n, p in sc.propositions.items()},
         "queries": sc.queries,
     }
     return canonical_json(doc)
@@ -174,7 +171,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
             sc.states[sname] = State(v, eps)
         else:
             sc.warnings.append(f"state {sname!r} renormalized (norm was {n:.6g})")
-            sc.states[sname] = State(v / n, eps)
+            sc.states[sname] = State.normalized(v, eps)
 
     for oname, rows in sorted(_section(doc, "observables").items()):
         if not isinstance(rows, list) or len(rows) != dim:
@@ -203,9 +200,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
             else:
                 sub = gram_schmidt(basis, eps)
             members.append((str(label), sub))
-        fam = OrthoFamily(dim, members, eps)
-        fam._scenario_name = fname
-        sc.families[fname] = fam
+        sc.families[fname] = OrthoFamily(dim, members, eps)
 
     for pname, raw in sorted(_section(doc, "propositions").items()):
         sc.propositions[pname] = _parse_prop(raw, sc, pname)

@@ -212,6 +212,14 @@ class TestLp:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: input is nested too deeply\n"
 
+    def test_nested_parentheses_are_decided(self, capsys):
+        # the parser spends two frames per parenthesis level, so 400 levels
+        # stay well inside the default recursion limit
+        formula = "(" * 400 + "p & !p" + ")" * 400
+        code, doc = run_json(capsys, "lp", "check", "-c", formula)
+        assert code == EXIT_OK
+        assert doc["results"]["model"] == {"p": "B"}
+
     def test_valuation_budget(self, capsys):
         labels = [f"l{i}" for i in range(16)]
         code, out, err = run(capsys, "lp", "chain", *labels)

@@ -30,14 +30,22 @@ class TestGramSchmidt:
         expected = np.array([[R2, R2], [R2, -R2]]).T
         assert np.allclose(np.abs(s.basis.conj().T @ expected), np.eye(2))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("vectors", [
         [[1e-10, 0]],  # tiny but independent: kept
         [[1e6, 0], [1e6, 1e-4]],  # contains puts the second in the first line
         [[0, 0], [1, 0]],  # a zero vector is dropped, not divided by zero
+        [[1e-170, 0]],  # its square underflows; the rescaled norm keeps it
+        [[1e200, 0], [1e200, 1e195]],  # squares overflow; residual 1e195 > eps·1e200
     ])
     def test_drops_by_the_relative_rule_of_contains(self, vectors):
         s = gram_schmidt(vectors)
-        assert s.dim == 1 and s.contains([1, 0])
+        # a vector is kept exactly when it is nonzero and contains puts it
+        # outside the span of the vectors before it
+        kept = [v for i, v in enumerate(vectors)
+                if any(v) and not (i and gram_schmidt(vectors[:i]).contains(v))]
+        assert s.dim == len(kept) and s.contains([1, 0])
+        assert all(s.contains(v) for v in vectors if any(v))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qopposition.linalg import EPS, Subspace, gram_schmidt
+from qopposition.linalg import EPS, DimensionMismatch, Subspace, gram_schmidt
 from qopposition import opposition
 from qopposition.opposition import (MEET_BUDGET, OppositionError, Relation,
                                     build_hexagon, build_square,
@@ -130,6 +130,15 @@ class TestClassify:
             u = haar_unitary(n, rng)
             moved = classify(apply_unitary_literal(u, p), apply_unitary_literal(u, q))
             assert (base.relation, base.direction) == (moved.relation, moved.direction)
+
+    def test_leaves_of_mixed_dimensions_refused(self, u_x):
+        # across the pair, and inside one proposition
+        line3 = Literal(gram_schmidt([[1, 0, 0]]))
+        for p, q in ((u_x, line3), (And((u_x, line3)), u_x)):
+            with pytest.raises(DimensionMismatch):
+                classify(p, q)
+            with pytest.raises(DimensionMismatch):
+                random_witness_search((p, q), (True, True), seed=0)
 
     def test_family_members_pairwise_contrary(self):
         rng = np.random.default_rng(73)

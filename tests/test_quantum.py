@@ -39,6 +39,10 @@ class TestState:
         # only the zero vector is refused, whatever the scale
         assert np.array_equal(State.normalized([1e-10, 0]).vector, [1, 0])
         assert State.normalized([1e-160, 0]).vector.tolist() == [1, 0]
+        # subnormal norms: 1/n would overflow, so the vector is first
+        # scaled by an exact power of two
+        assert State.normalized([5e-324, 0]).vector.tolist() == [1, 0]
+        assert State.normalized([1e-310, 0]).vector.tolist() == [1, 0]
         with pytest.raises(QuantumError, match="zero"):
             State.normalized([0, 0])
 
@@ -59,6 +63,10 @@ class TestSuperpose:
     def test_destructive_cancellation(self):
         with pytest.raises(QuantumError):
             superpose([1, -1], [UP_X, UP_X])
+
+    def test_small_combination_is_normalized(self):
+        # only exact cancellation is refused: a small weight is not one
+        assert superpose([1e-10], [UP_Z]).vector.tolist() == [1, 0]
 
     def test_skewed_weights(self):
         psi = superpose([2 / math.sqrt(7), math.sqrt(3 / 7)], [UP_X, DOWN_X])

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qopposition.quantum import And, Literal, Or
-from qopposition.scenarios import (BUILTIN_NAMES, ScenarioError, builtin,
+from qopposition.linalg import Subspace
+from qopposition.quantum import And, Literal, Or, OrthoFamily
+from qopposition.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError, builtin,
                                    canonical_json, load_scenario, run_all,
                                    run_query, serialize)
 
@@ -142,7 +143,37 @@ def random_doc(rng, dim):
     }
 
 
+def _code_family():
+    return OrthoFamily(2, [("up", Subspace(2, np.array([[1], [0]]))),
+                           ("down", Subspace(2, np.array([[0], [1]])))])
+
+
+def _hand_built(fam) -> Scenario:
+    """A scenario assembled in code, its family stored under the key 'spin'."""
+    up, down = (Literal(fam.subspace(m), True, fam, m, m) for m in fam.labels)
+    return Scenario("hand", 2, families={"spin": fam},
+                    propositions={"up": up, "either": Or((up, down.negate()))})
+
+
 class TestLoading:
+    @pytest.mark.parametrize("make_family", [
+        _code_family,  # a family built in code
+        lambda: builtin("spin_half_x").families["x"],  # loaded under another key
+    ], ids=["code", "renamed"])
+    def test_hand_built_scenario_round_trips(self, make_family):
+        sc = _hand_built(make_family())
+        text = serialize(sc)
+        again = load_scenario(text)
+        assert serialize(again) == text
+        assert json.loads(text)["propositions"]["up"] == f"spin.{sc.families['spin'].labels[0]}"
+        assert again.propositions["up"].family is again.families["spin"]
+
+    def test_literal_outside_the_families_not_serializable(self):
+        sc = _hand_built(_code_family())
+        sc.families = {"spin": _code_family()}
+        with pytest.raises(ScenarioError, match="families"):
+            serialize(sc)
+
     def test_randomized_round_trips(self):
         rng = np.random.default_rng(777)
         for _ in range(50):
