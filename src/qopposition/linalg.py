@@ -62,6 +62,11 @@ def _norm(x: np.ndarray) -> float:
     return m * _norm(np.abs(x) / m) if m else 0.0
 
 
+def _unit(v: np.ndarray, n: float) -> np.ndarray:
+    """v / n for n = _norm(v) > 0; both scaled by 2^1022 first where 1/n overflows."""
+    return v * 2.0 ** 1022 / (n * 2.0 ** 1022) if n < sys.float_info.min else v / n
+
+
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -137,7 +142,7 @@ class Subspace:
             raise ValueError("basis has more vectors than the ambient dimension")
         self._bh = basis.conj().T
         gram = self._bh @ basis
-        if basis.shape[1] and float(np.max(np.abs(gram - np.eye(basis.shape[1])))) > 10 * eps:
+        if basis.shape[1] and not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 10 * eps:
             raise ValueError("basis is not orthonormal within tolerance")
         self.ambient_dim = int(ambient_dim)
         self.basis = basis
@@ -258,5 +263,5 @@ def gram_schmidt(vectors, eps: float = EPS) -> Subspace:
                 w = w - np.vdot(b, w) * b
         r = _norm(w)
         if r > eps * _norm(v):
-            basis.append(w / r)
+            basis.append(_unit(w, r))
     return Subspace(n, np.column_stack(basis) if basis else None, eps)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, _norm, check_eps
+from .linalg import EPS, _norm, _unit, check_eps
 from .quantum import (And, Literal, Or, Proposition, State, ambient_dim_of,
                       leaves, truth)
 
@@ -101,9 +101,9 @@ def _candidates(basis: np.ndarray, k: int):
         nodes = k * d + 1
         for t in range(nodes):
             c = np.exp(2j * np.pi * t / nodes * np.arange(d))
-            c /= _norm(c)
+            c = _unit(c, _norm(c))
             v = sum(x * basis[:, m] for m, x in enumerate(c))
-            yield v / _norm(v)
+            yield _unit(v, _norm(v))
 
 
 def _patterns(props, eps: float):

@@ -9,13 +9,12 @@ negations, which is what keeps contraries distinct from contradictories.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (EPS, DimensionMismatch, Subspace, _norm, as_vector, as_matrix,
-                     check_eps, hermitian_eig, is_hermitian)
+from .linalg import (EPS, DimensionMismatch, Subspace, _norm, _unit, as_vector,
+                     as_matrix, check_eps, hermitian_eig, is_hermitian)
 
 
 class QuantumError(Exception):
@@ -43,9 +42,7 @@ class State:
         n = _norm(v)
         if n == 0.0:
             raise QuantumError("cannot normalize a (near-)zero vector")
-        if n < sys.float_info.min:  # 1/n overflows: scale by an exact power of two
-            v, n = v * 2.0 ** 1022, n * 2.0 ** 1022
-        return State(v / n, eps)
+        return State(_unit(v, n), eps)
 
     def __repr__(self):
         return f"State({self.vector.tolist()})"
@@ -193,9 +190,9 @@ def truth(p: Proposition, psi: State, eps: float = EPS) -> bool:
 
 
 def superpose(coefficients, states, eps: float = EPS) -> State:
-    """Normalized linear combination of states.  Any nonzero combination
-    is normalized, however small; only exact cancellation to the zero
-    vector raises, through State.normalized."""
+    """Normalized linear combination of states.  Raises on cancellation:
+    a combination of norm at most eps times the sum of the |c_i| (the
+    states are unit vectors, so the rule is scale-free, like contains)."""
     coefficients = [complex(c) for c in coefficients]
     states = list(states)
     if not states or len(coefficients) != len(states):
@@ -203,7 +200,10 @@ def superpose(coefficients, states, eps: float = EPS) -> State:
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise DimensionMismatch(f"states mix dimensions {dims}")
-    return State.normalized(sum(c * s.vector for c, s in zip(coefficients, states)), eps)
+    v = sum(c * s.vector for c, s in zip(coefficients, states))
+    if _norm(v) <= eps * sum(map(abs, coefficients)):
+        raise QuantumError("superposition cancels to the zero vector")
+    return State.normalized(v, eps)
 
 
 def born(psi: State, s: Subspace) -> float:
@@ -236,8 +236,7 @@ def family_from_observable(obs: Observable, eps: float = EPS) -> OrthoFamily:
     ascending."""
     evals, vecs = hermitian_eig(obs.matrix, eps)
     members = []
-    i = 0
-    n = len(evals)
+    i, n = 0, len(evals)
     while i < n:
         j = i
         while j + 1 < n and evals[j + 1] - evals[j] < eps:

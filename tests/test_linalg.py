@@ -31,21 +31,19 @@ class TestGramSchmidt:
         assert np.allclose(np.abs(s.basis.conj().T @ expected), np.eye(2))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("vectors", [
-        [[1e-10, 0]],  # tiny but independent: kept
-        [[1e6, 0], [1e6, 1e-4]],  # contains puts the second in the first line
-        [[0, 0], [1, 0]],  # a zero vector is dropped, not divided by zero
-        [[1e-170, 0]],  # its square underflows; the rescaled norm keeps it
-        [[1e200, 0], [1e200, 1e195]],  # squares overflow; residual 1e195 > eps·1e200
-    ])
-    def test_drops_by_the_relative_rule_of_contains(self, vectors):
+    @pytest.mark.parametrize("vectors, dim", [
+        ([[1e-10, 0]], 1),  # tiny but independent: kept
+        ([[1e6, 0], [1e6, 1e-4]], 1),  # contains puts the second in the first line
+        ([[0, 0], [1, 0]], 1),  # a zero vector is dropped, not divided by zero
+        ([[1e-170, 0]], 1),  # its square underflows; the rescaled norm keeps it
+        ([[1e200, 0], [1e200, 1e195]], 2),  # squares overflow; residual 1e195 > eps·1e200
+        ([[1e-310, 0]], 1),  # subnormal norm: 1/r overflows unless rescaled
+        ([[5e-324, 0]], 1),  # the smallest subnormal
+    ], ids=[f"vectors{i}" for i in range(7)])
+    def test_drops_by_the_relative_rule_of_contains(self, vectors, dim):
         s = gram_schmidt(vectors)
-        # a vector is kept exactly when it is nonzero and contains puts it
-        # outside the span of the vectors before it
-        kept = [v for i, v in enumerate(vectors)
-                if any(v) and not (i and gram_schmidt(vectors[:i]).contains(v))]
-        assert s.dim == len(kept) and s.contains([1, 0])
-        assert all(s.contains(v) for v in vectors if any(v))
+        assert s.dim == dim and s.contains([1, 0])
+        assert np.isfinite(s.basis).all()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -126,6 +124,11 @@ class TestHermitianEig:
 
 
 class TestSubspaceCalculus:
+    def test_non_finite_basis_rejected(self):
+        # a NaN Gram entry fails the orthonormality check, not passes it
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(2, np.array([[np.nan], [0]]))
+
     def test_contains_member(self):
         s = gram_schmidt([[1, 0]])
         assert s.contains([1, 0])

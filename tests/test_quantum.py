@@ -64,8 +64,15 @@ class TestSuperpose:
         with pytest.raises(QuantumError):
             superpose([1, -1], [UP_X, UP_X])
 
+    def test_rounding_cancellation(self):
+        # 1/sqrt(2) and sqrt(0.5) differ by one ulp: what is left is noise,
+        # below eps times the sum of the |c_i|, not a state
+        x = State([math.sqrt(0.5), math.sqrt(0.5)])
+        with pytest.raises(QuantumError, match="cancels"):
+            superpose([1, -1], [UP_X, x])
+
     def test_small_combination_is_normalized(self):
-        # only exact cancellation is refused: a small weight is not one
+        # the rule is relative to the weights: a small weight is not cancellation
         assert superpose([1e-10], [UP_Z]).vector.tolist() == [1, 0]
 
     def test_skewed_weights(self):

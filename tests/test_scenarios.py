@@ -215,6 +215,13 @@ class TestLoading:
         assert any("renormalized" in w for w in sc.warnings)
         assert np.array_equal(sc.states["s"].vector, [1, 0])
 
+    def test_subnormal_member_basis_orthonormalized(self):
+        doc = {"name": "t", "dim": 2, "states": {},
+               "families": {"f": {"members": [["a", [[[1e-310, 0.0], [0.0, 0.0]]]],
+                                              ["b", [[[0.0, 0.0], [1.0, 0.0]]]]]}}}
+        a = load_scenario(json.dumps(doc)).families["f"].members[0][1]
+        assert a.dim == 1 and a.basis[:, 0].tolist() == [1, 0]
+
     def test_zero_state_rejected(self):
         doc = {"name": "t", "dim": 2,
                "states": {"s": [[0.0, 0.0], [0.0, 0.0]]}}
