@@ -11,7 +11,7 @@ the result without its op/args echo.  Only loading the scenario,
 
 Output formats: text (default), json (canonical, byte-stable), dot
 (Graphviz, polygon commands only).  Exit codes: 0 ok, 1 UNSAT,
-2 usage/input error, 4 consequence false.
+2 usage/input error, 4 consequence false, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_USAGE = 2
 EXIT_NOT_CONSEQUENCE = 4
+EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE
 
 
 class CliError(Exception):
@@ -304,7 +305,9 @@ def main(argv=None) -> int:
         # refused before anything is loaded or run
         if args.format == "dot" and getattr(args, "op", None) not in ("square", "hexagon"):
             raise CliError("dot output is only available for square/hexagon")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return status
     except (CliError, ScenarioError, QuantumError, LinalgError, lp.LogicError,
             OppositionError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -314,6 +317,10 @@ def main(argv=None) -> int:
         # and evaluators reach
         print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -164,8 +164,8 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def contains(self, v, eps: float = EPS) -> bool:
-        """Membership: residual of v against the subspace below eps*|v|,
-        a relative rule at every scale; only the zero vector is refused."""
+        """Membership: residual of v against the subspace below eps*|v| (or
+        0 where that underflows), at every scale; the zero vector is refused."""
         check_eps(eps)
         v = as_vector(v)
         if _norm(v) == 0.0:
@@ -176,7 +176,7 @@ class Subspace:
 
     def _contains(self, v: np.ndarray, eps: float) -> bool:
         """The membership kernel: v finite, nonzero, of the ambient size; eps checked."""
-        return _norm(v - self.basis @ (self._bh @ v)) < eps * _norm(v)
+        return (r := _norm(v - self.basis @ (self._bh @ v))) < eps * _norm(v) or r == 0.0
 
     def is_subset(self, other: "Subspace", eps: float = EPS) -> bool:
         check_eps(eps)

@@ -70,8 +70,11 @@ class Atom:
 class Not:
     arg: "Formula"
 
-    def __str__(self):
-        return f"!{_wrap(self.arg)}"
+    def __str__(self):  # a run of "!" in a loop, not a stack frame each
+        k, inner = 1, self.arg
+        while isinstance(inner, Not):
+            k, inner = k + 1, inner.arg
+        return "!" * k + (str(inner) if isinstance(inner, Atom) else f"({inner})")
 
 
 @dataclass(frozen=True)
@@ -277,10 +280,6 @@ class ParseError(LogicError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at column {position + 1})")
         self.position = position
-
-
-def _wrap(f: Formula) -> str:
-    return str(f) if isinstance(f, (Atom, Not)) else f"({f})"
 
 
 # (symbol, node, right-associative) for each binary connective, from the

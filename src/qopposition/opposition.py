@@ -8,9 +8,11 @@ whole space when I is empty), holds a state that `contains` puts in no
 S_j with j outside I.  A complex space is never a finite union of proper
 subspaces, so a short deterministic search over T_I finds that state
 whenever T_I lies in no such S_j.  The four questions (can both be true?
-can both be false? does either entail the other?) are read off the
-realizable patterns, every positive answer carries its pattern's witness,
-and the relation follows from the square-of-opposition taxonomy.  The walk
+can both be false? does either entail the other?) are bit tests on int
+truth masks over the realizable patterns, every positive answer carries
+its first pattern's witness, and the relation follows from the
+square-of-opposition taxonomy; a polygon's corners other than A and E take
+their masks by complement, since negation is set complement.  The walk
 visits each nonzero meet once: orthogonal leaves have few, while k generic
 hyperplanes have up to 2^k, so a decision is refused once it has visited
 more than MEET_BUDGET of them.
@@ -107,25 +109,25 @@ def _candidates(basis: np.ndarray, k: int):
 
 
 def _patterns(props, eps: float):
-    """(truth tables, witness states) over the realizable patterns of the
-    leaves of props[0] and props[1], which hold every leaf of props.
+    """(truth masks, witness states) over the realizable patterns of the
+    leaves of props[0] and props[1].
 
     A pattern is the set of distinct leaf subspaces that hold its witness
     state, keyed by the Subspace objects themselves (they hash by
     identity).  A depth-first walk over subsets finds them, skipping every
     superset of an empty meet and raising OppositionError past MEET_BUDGET
-    nonzero meets; each table lists a prop's truth at every pattern, in
-    the order of the walk.  For the empty pattern the whole space is
-    spanned by the eigenbasis of the first leaf's orthogonal family when
-    it has one, so that witness is an eigenstate, or an equal-weight
-    superposition of eigenstates, of the observable in play."""
+    nonzero meets.  A prop's truth table is one int: bit i is set where it
+    holds at the i-th pattern of the walk, whose witness is states[i].  For
+    the empty pattern the whole space is spanned by the eigenbasis of the
+    first leaf's orthogonal family when it has one, so that witness is an
+    eigenstate, or an equal-weight superposition of eigenstates, of the
+    observable in play."""
     lits = leaves(props[0]) + leaves(props[1])
     subs = list(dict.fromkeys(lit.subspace for lit in lits))
     n = ambient_dim_of(subs)
     check_eps(eps)
     fam = lits[0].family
-    whole = (np.hstack([sub.basis for _, sub in fam.members]) if fam is not None
-             else np.eye(n, dtype=complex))
+    whole = fam.basis if fam is not None else np.eye(n, dtype=complex)
     found = []
     visited = 0
 
@@ -147,8 +149,8 @@ def _patterns(props, eps: float):
                 walk(inside | {subs[j]}, nxt, j + 1)
 
     walk(frozenset(), None, 0)
-    return ([[_holds(p, inside) for inside, _ in found] for p in props],
-            [st for _, st in found])
+    return ([sum(1 << i for i, (inside, _) in enumerate(found) if _holds(p, inside))
+             for p in props], [st for _, st in found])
 
 
 def _holds(p: Proposition, inside: frozenset) -> bool:
@@ -160,29 +162,16 @@ def _holds(p: Proposition, inside: frozenset) -> bool:
     return any(_holds(part, inside) for part in p.parts)
 
 
-def _truth_pairs(tp: list, tq: list, states: list) -> dict:
-    """Each (p, q) truth pair of the tables, with its first pattern's state."""
-    pairs = {}
-    for pair, st in zip(zip(tp, tq), states):
-        pairs.setdefault(pair, st)
-    return pairs
-
-
-def _decide(p: Proposition, q: Proposition, eps: float) -> dict:
-    (tp, tq), states = _patterns((p, q), eps)
-    return _truth_pairs(tp, tq, states)
-
-
-def _both(p, q, pairs: dict, value: bool):
-    st = pairs.get((value, value))
-    if st is None:
+def _both(p, q, mask: int, value: bool, states: list):
+    """(True, witness at the walk's first pattern in mask), or (False, None)."""
+    if not mask:
         return False, None
-    return True, Witness(st, (p, q), (value, value))
+    return True, Witness(states[(mask & -mask).bit_length() - 1], (p, q), (value, value))
 
 
-def _classify(p: Proposition, q: Proposition, pairs: dict) -> Classification:
-    ct, wt = _both(p, q, pairs, True)
-    cf, wf = _both(p, q, pairs, False)
+def _classify(p: Proposition, q: Proposition, tp: int, tq: int, states: list) -> Classification:
+    ct, wt = _both(p, q, tp & tq, True, states)
+    cf, wf = _both(p, q, ~(tp | tq) & ((1 << len(states)) - 1), False, states)
     witnesses = {k: w for k, w in (("both_true", wt), ("both_false", wf))
                  if w is not None}
     if not ct and not cf:
@@ -191,8 +180,8 @@ def _classify(p: Proposition, q: Proposition, pairs: dict) -> Classification:
         return Classification(Relation.CONTRARY, witnesses=witnesses)
     if not cf:
         return Classification(Relation.SUBCONTRARY, witnesses=witnesses)
-    fwd = (True, False) not in pairs
-    bwd = (False, True) not in pairs
+    fwd = not tp & ~tq
+    bwd = not tq & ~tp
     if fwd and bwd:
         return Classification(Relation.EQUIVALENT, witnesses=witnesses)
     if fwd:
@@ -256,22 +245,26 @@ def random_witness_search(props, pattern, seed: int,
 
 def can_both_be_true(p: Proposition, q: Proposition, eps: float = EPS):
     """(answer, witness): (True, a state making both true) or (False, None)."""
-    return _both(p, q, _decide(p, q, eps), True)
+    (tp, tq), states = _patterns((p, q), eps)
+    return _both(p, q, tp & tq, True, states)
 
 
 def can_both_be_false(p: Proposition, q: Proposition, eps: float = EPS):
     """(answer, witness): (True, a state making both false) or (False, None)."""
-    return _both(p, q, _decide(p, q, eps), False)
+    (tp, tq), states = _patterns((p, q), eps)
+    return _both(p, q, ~(tp | tq) & ((1 << len(states)) - 1), False, states)
 
 
 def entails(p: Proposition, q: Proposition, eps: float = EPS) -> bool:
     """Does every state making p true make q true?"""
-    return (True, False) not in _decide(p, q, eps)
+    (tp, tq), _ = _patterns((p, q), eps)
+    return not tp & ~tq
 
 
 def classify(p: Proposition, q: Proposition, eps: float = EPS) -> Classification:
     """Classify the opposition relation between two propositions."""
-    return _classify(p, q, _decide(p, q, eps))
+    (tp, tq), states = _patterns((p, q), eps)
+    return _classify(p, q, tp, tq, states)
 
 
 # --- square and hexagon ---------------------------------------------------
@@ -313,28 +306,27 @@ class Polygon:
 
 
 def _build(a: Proposition, e: Proposition, names, pattern, eps) -> Polygon:
+    # negate() is set complement, so one walk over a and e serves all corners
+    (ta, te), states = _patterns((a, e), eps)
+    full = (1 << len(states)) - 1
     positions = {"A": a, "E": e, "I": e.negate(), "O": a.negate()}
+    tables = {"A": ta, "E": te, "I": full & ~te, "O": full & ~ta}
     if "U" in names:
         positions["U"] = Or((a, e))
         positions["Y"] = And((positions["I"], positions["O"]))
-    # every corner's leaves are leaves of a or e: one enumeration serves all
-    tables, states = _patterns([positions[x] for x in names], eps)
-    tables = dict(zip(names, tables))
-    base = _classify(a, e, _truth_pairs(tables["A"], tables["E"], states))
+        tables["U"], tables["Y"] = ta | te, full & ~(ta | te)
+    base = _classify(a, e, ta, te, states)
     if base.relation is not Relation.CONTRARY:
         raise OppositionError(
             f"base pair is {base.describe('A', 'E')}, not Contrary; "
             "cannot place it at the A and E corners")
-    relations = {}
-    deviations = []
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            c = _classify(positions[x], positions[y],
-                          _truth_pairs(tables[x], tables[y], states))
-            relations[(x, y)] = c
-            want_rel, want_dir = pattern[(x, y)]
-            if (c.relation, c.direction) != (want_rel, want_dir):
-                deviations.append((x, y, want_rel.value, c.describe(x, y)))
+    relations, deviations = {}, []
+    for (x, y), (want_rel, want_dir) in pattern.items():
+        c = base if (x, y) == ("A", "E") else _classify(
+            positions[x], positions[y], tables[x], tables[y], states)
+        relations[(x, y)] = c
+        if (c.relation, c.direction) != (want_rel, want_dir):
+            deviations.append((x, y, want_rel.value, c.describe(x, y)))
     return Polygon(positions, relations, tuple(deviations))
 
 

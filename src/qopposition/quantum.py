@@ -96,6 +96,8 @@ class OrthoFamily:
             raise QuantumError("family members do not span the whole space")
         self.ambient_dim = int(ambient_dim)
         self.members = tuple(members)
+        self.basis = np.hstack([sub.basis for _, sub in members])  # the eigenbasis
+        self.basis.setflags(write=False)
 
     @property
     def labels(self):

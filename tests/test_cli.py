@@ -1,8 +1,11 @@
+import io
 import json
+import os
+import sys
 
 import pytest
 
-from qopposition.cli import (EXIT_NOT_CONSEQUENCE, EXIT_OK, EXIT_UNSAT,
+from qopposition.cli import (EXIT_NOT_CONSEQUENCE, EXIT_OK, EXIT_PIPE, EXIT_UNSAT,
                              EXIT_USAGE, main)
 
 
@@ -211,6 +214,38 @@ class TestLp:
         code, out, err = run(capsys, "lp", "check", "-c", formula)
         assert code == EXIT_USAGE and out == ""
         assert err == "error: input is nested too deeply\n"
+
+    @pytest.mark.parametrize("depth", [600, 900])
+    @pytest.mark.parametrize("mode", ["lp", "classical"])
+    def test_deep_negations_are_decided(self, capsys, depth, mode):
+        # the printer writes a run of "!" in a loop, so the parser's stack
+        # sets the bound, near 990 negations
+        code, doc = run_json(capsys, "lp", "check", "-c", "!" * depth + "p",
+                             "--mode", mode)
+        assert code == EXIT_OK
+        # an even run of "!" is p; B precedes T in the documented order
+        assert doc["results"]["model"] == {"p": {"lp": "B", "classical": "T"}[mode]}
+
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        # `qopp lp chain ... --models | head -n 2`: the reader closed the pipe,
+        # so main must move stdout's descriptor (here a file's) to devnull
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            code = main(["lp", "chain", *"abcdefgh", "--models"])
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == EXIT_PIPE
+        assert capsys.readouterr().err == ""
 
     def test_nested_parentheses_are_decided(self, capsys):
         # the parser spends two frames per parenthesis level, so 400 levels

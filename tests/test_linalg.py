@@ -284,6 +284,12 @@ class TestMembershipKernel:
         assert line.contains([1e-165, 0])
         assert not line.contains([1e-165, 1e-165])
 
+    def test_zero_residual_of_the_smallest_subnormal(self):
+        # eps·|v| underflows to 0 at 5e-324; a residual of exactly 0 is in
+        line = gram_schmidt([[5e-324, 0]])
+        assert line.contains([5e-324, 0])
+        assert not line.contains([5e-324, 5e-324])
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_membership_is_scale_free(self):
         # the plain sum of squares overflows above about 1e154 (numpy warns)

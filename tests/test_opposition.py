@@ -568,3 +568,76 @@ class TestExactOracle:
                                     if (v, v) in want}
         assert all(w.replay() for w in c.witnesses.values())
         assert c == classify(q, p).swapped()
+
+
+def seeded_compound(subs, rng, depth=2):
+    """An And/Or compound of depth <= depth over literals of subs, each of
+    either polarity, drawn from a numpy Generator."""
+    if depth == 0 or rng.integers(2):
+        return Literal(subs[int(rng.integers(len(subs)))], bool(rng.integers(2)))
+    parts = tuple(seeded_compound(subs, rng, depth - 1) for _ in range(int(rng.integers(2, 4))))
+    return And(parts) if rng.integers(2) else Or(parts)
+
+
+class TestCompoundCorners:
+    def test_corners_of_compound_pairs_are_classify(self):
+        # the polygon derives I, O, U and Y from the truth masks of A and E
+        # by complement; on compound A and E every pair must still get
+        # classify's relation.  classify walks the pair's own leaves, so its
+        # witnesses may be other states: each is checked by replay instead
+        rng = np.random.default_rng(83)
+        built = 0
+        for _ in range(120):
+            n = int(rng.integers(2, 6))
+            subs = [random_subspace(n, int(rng.integers(0, n + 1)), rng) for _ in range(3)]
+            a, e = seeded_compound(subs, rng), seeded_compound(subs, rng)
+            try:
+                polygons = (build_hexagon(a, e), build_square(a, e))
+            except OppositionError:
+                continue
+            built += not isinstance(a, Literal) or not isinstance(e, Literal)
+            for poly in polygons:
+                for (x, y), c in poly.relations.items():
+                    d = classify(poly.positions[x], poly.positions[y])
+                    assert (c.relation, c.direction) == (d.relation, d.direction), (x, y)
+                    assert sorted(c.witnesses) == sorted(d.witnesses)
+                    assert all(w.replay() for w in c.witnesses.values())
+        assert built >= 30  # polygons with a compound corner at A or E
+
+
+_FLIP = {"forward": "backward", "backward": "forward", None: None}
+_DUAL = {Relation.CONTRARY: Relation.SUBCONTRARY, Relation.SUBCONTRARY: Relation.CONTRARY}
+
+
+def full_scale_pairs(count, seed):
+    """Compound pairs over 1-3 subspaces of C^5..C^16 (trivial ones
+    included), 40% of the subspaces spanned by standard basis vectors."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(5, 17))
+        subs = []
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(0, n + 1))
+            if rng.random() < 0.4:
+                cols = np.sort(rng.choice(n, k, replace=False))
+                subs.append(Subspace(n, np.eye(n, dtype=complex)[:, cols]))
+            else:
+                subs.append(random_subspace(n, k, rng))
+        yield seeded_compound(subs, rng), seeded_compound(subs, rng)
+
+
+class TestMetamorphic:
+    def test_negation_duality(self):
+        # negation is set complement: negating both sides swaps both-true
+        # with both-false and p-without-q with q-without-p
+        for p, q in full_scale_pairs(300, 89):
+            c, d = classify(p, q), classify(p.negate(), q.negate())
+            assert (d.relation, d.direction) == (_DUAL.get(c.relation, c.relation),
+                                                 _FLIP[c.direction])
+            assert all(w.replay() for w in d.witnesses.values())
+
+    def test_swap_symmetry(self):
+        for p, q in full_scale_pairs(300, 97):
+            c, s = classify(p, q), classify(q, p)
+            assert (s.relation, s.direction) == (c.relation, _FLIP[c.direction])
+            assert sorted(s.witnesses) == sorted(c.witnesses)
