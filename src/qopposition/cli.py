@@ -21,6 +21,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import lp
 from .linalg import EPS, LinalgError, check_eps
 from .opposition import OppositionError
@@ -305,7 +307,8 @@ def main(argv=None) -> int:
         # refused before anything is loaded or run
         if args.format == "dot" and getattr(args, "op", None) not in ("square", "hexagon"):
             raise CliError("dot output is only available for square/hexagon")
-        status = args.func(args)
+        with np.errstate(over="ignore"):  # _norm's first sum overflows above ~1e154
+            status = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return status
     except (CliError, ScenarioError, QuantumError, LinalgError, lp.LogicError,

@@ -186,9 +186,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
     def intersect(self, other: "Subspace", eps: float = EPS) -> "Subspace":
         """Meet of two subspaces by principal angles (Bjorck & Golub 1973).
 

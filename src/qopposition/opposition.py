@@ -77,12 +77,6 @@ class Classification:
             return f"Subaltern ({a} -> {b})"
         return self.relation.value
 
-    def swapped(self) -> "Classification":
-        if self.relation is Relation.SUBALTERN:
-            d = "backward" if self.direction == "forward" else "forward"
-            return Classification(self.relation, d, self.witnesses)
-        return self
-
 
 # --- membership patterns ----------------------------------------------------
 

@@ -80,23 +80,22 @@ class OrthoFamily:
         for lab, sub in members:
             if sub.ambient_dim != ambient_dim:
                 raise DimensionMismatch(f"member {lab!r} has wrong ambient dimension")
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i][1], members[j][1]
-                if a.dim and b.dim:
-                    cross = np.abs(a.basis.conj().T @ b.basis)
-                    if float(cross.max()) > eps:
-                        raise QuantumError(
-                            f"members {members[i][0]!r} and {members[j][0]!r} "
-                            "are not orthogonal")
+        self.basis = np.hstack([sub.basis for _, sub in members])  # the eigenbasis
+        # one Gram matrix for every pair of members: a zero-dimensional member
+        # owns no column, and min() names the first offending pair in order
+        owner = np.repeat(np.arange(len(members)), [sub.dim for _, sub in members])
+        gram = np.abs(self.basis.conj().T @ self.basis)
+        rows, cols = np.nonzero((gram > eps) & (owner[:, None] < owner))
+        if rows.size:
+            i, j = min(zip(owner[rows], owner[cols]))
+            raise QuantumError(f"members {labels[i]!r} and {labels[j]!r} are not orthogonal")
         # orthonormal bases of pairwise-orthogonal members are linearly
         # independent, so they span C^n exactly when their dimensions add
         # up to n; a sum above n cannot pass the orthogonality check
-        if sum(sub.dim for _, sub in members) != ambient_dim:
+        if self.basis.shape[1] != ambient_dim:
             raise QuantumError("family members do not span the whole space")
         self.ambient_dim = int(ambient_dim)
         self.members = tuple(members)
-        self.basis = np.hstack([sub.basis for _, sub in members])  # the eigenbasis
         self.basis.setflags(write=False)
 
     @property
@@ -218,8 +217,6 @@ def born(psi: State, s: Subspace) -> float:
 def minimal_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> set:
     """Labels of the family members whose eigenspace contains the state.
     Empty exactly when the state is superposed across members."""
-    if psi.dim != family.ambient_dim:
-        raise DimensionMismatch("state and family dimensions differ")
     return {lab for lab, sub in family.members
             if sub.dim and sub.contains(psi.vector, eps)}
 
@@ -227,8 +224,6 @@ def minimal_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> se
 def paraconsistent_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> set:
     """Labels of every member present in the superposition (Born weight
     above eps), regardless of how skewed the weights are."""
-    if psi.dim != family.ambient_dim:
-        raise DimensionMismatch("state and family dimensions differ")
     return {lab for lab, sub in family.members if born(psi, sub) > eps}
 
 
@@ -237,13 +232,8 @@ def family_from_observable(obs: Observable, eps: float = EPS) -> OrthoFamily:
     eigenvalue (values within eps merged), labeled by the eigenvalue,
     ascending."""
     evals, vecs = hermitian_eig(obs.matrix, eps)
-    members = []
-    i, n = 0, len(evals)
-    while i < n:
-        j = i
-        while j + 1 < n and evals[j + 1] - evals[j] < eps:
-            j += 1
-        value = float(np.mean(evals[i:j + 1]))
-        members.append((f"{value:g}", Subspace(obs.dim, vecs[:, i:j + 1], eps)))
-        i = j + 1
+    # a group ends wherever the next eigenvalue is at least eps higher
+    cuts = [0, *(np.flatnonzero(np.diff(evals) >= eps) + 1), len(evals)]
+    members = [(f"{float(np.mean(evals[i:j])):g}", Subspace(obs.dim, vecs[:, i:j], eps))
+               for i, j in zip(cuts, cuts[1:])]
     return OrthoFamily(obs.dim, members, eps)

@@ -203,7 +203,11 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
         sc.families[fname] = OrthoFamily(dim, members, eps)
 
     for pname, raw in sorted(_section(doc, "propositions").items()):
-        sc.propositions[pname] = _parse_prop(raw, sc, pname)
+        p = _parse_prop(raw, sc, pname)
+        # a positive literal displays as the proposition's name; a negated one
+        # and the literals of a compound keep the names of their members
+        sc.propositions[pname] = (Literal(p.subspace, True, p.family, p.member, pname)
+                                  if isinstance(p, Literal) and p.asserted else p)
 
     queries = doc.get("queries", [])
     if not isinstance(queries, list):
@@ -215,12 +219,9 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
 def _parse_prop(raw, sc: Scenario, pname: str) -> Proposition:
     if isinstance(raw, str):
         try:
-            p = sc.resolve_proposition(raw)
+            return sc.resolve_proposition(raw)
         except ScenarioError as exc:
             raise ScenarioError(f"proposition {pname!r}: {exc}") from None
-        if isinstance(p, Literal):
-            return Literal(p.subspace, p.asserted, p.family, p.member, pname)
-        return p
     if isinstance(raw, dict) and len(raw) == 1:
         key, parts = next(iter(raw.items()))
         if key in ("and", "or") and isinstance(parts, list) and parts:

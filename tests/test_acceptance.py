@@ -133,9 +133,9 @@ def generic_cell(props, pattern):
     pins the state inside a proper subspace or outside a full one."""
     for p, want in zip(props, pattern):
         inside_needed = want == p.asserted
-        if inside_needed and not p.subspace.is_full():
+        if inside_needed and p.subspace.dim < p.subspace.ambient_dim:
             return False
-        if not inside_needed and p.subspace.is_full():
+        if not inside_needed and p.subspace.dim == p.subspace.ambient_dim:
             return False
     return True
 

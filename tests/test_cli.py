@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 import pytest
 
@@ -96,6 +97,27 @@ class TestPolygons:
         assert len(doc["results"]["relations"]) == 6
         assert set(doc["results"]["positions"]) == {"A", "E", "I", "O"}
 
+    @pytest.mark.parametrize("op", ["square", "hexagon"])
+    @pytest.mark.parametrize("a, e, want", [
+        # the literals of a compound keep their member names
+        ("both", "f.c", {"A": "(a & !c)", "E": "c", "I": "!c", "O": "(!a | c)",
+                         "U": "((a & !c) | c)", "Y": "(!c & (!a | c))"}),
+        # a negated bare reference keeps the member's name, so !nb is b
+        ("a", "!nb", {"A": "a", "E": "b", "I": "!b", "O": "!a",
+                      "U": "(a | b)", "Y": "(!b & !a)"}),
+    ], ids=["compound", "negated"])
+    def test_file_propositions_display_their_members(self, capsys, tmp_path, op, a, e, want):
+        lines = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+        doc = {"name": "t", "dim": 3,
+               "families": {"f": {"members": [[m, [v]] for m, v in zip("abc", lines)]}},
+               "propositions": {"a": "f.a", "nb": "!f.b", "both": {"and": ["f.a", "!f.c"]}}}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, op, str(path), a, e)
+        assert code == EXIT_OK
+        assert out["results"]["positions"] == {k: v for k, v in want.items()
+                                               if op == "hexagon" or k in "AEIO"}
+
     def test_hexagon_dot(self, capsys):
         code, out, _ = run(capsys, "hexagon", "spin_half_x", "u_x", "d_x",
                            "--format", "dot")
@@ -158,6 +180,20 @@ class TestProbAttribute:
                              "--semantics", "paraconsistent")
         assert code == EXIT_OK
         assert doc["results"]["attributed"] == ["down_x", "up_x"]
+
+    def test_huge_components_warn_nothing(self, capsys, tmp_path):
+        # the norm of [1e200, 1e200] overflows numpy's plain sum of squares
+        # before it is rescaled; qopp must print the weights and nothing else
+        doc = {"name": "t", "dim": 2, "states": {"big": [[1e200, 0], [1e200, 0]]},
+               "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
+                                              ["b", [[[0, 0], [1, 0]]]]]}}}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "prob", str(path), "big", "f")
+        assert code == EXIT_OK and err == ""
+        assert out.endswith("probabilities:\n  a: 0.5\n  b: 0.5\ntotal: 1\n")
 
     def test_unknown_state(self, capsys):
         code, out, err = run(capsys, "prob", "spin_half_x", "ghost", "x")

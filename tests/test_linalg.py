@@ -17,7 +17,7 @@ _SVD = np.linalg.svd
 class TestGramSchmidt:
     def test_full_space(self):
         s = gram_schmidt([[1, 0], [0, 1]])
-        assert s.dim == 2 and s.is_full()
+        assert s.dim == s.ambient_dim == 2
 
     def test_dependent_vector_dropped(self):
         s = gram_schmidt([[1, 0], [2, 0]])
@@ -225,7 +225,8 @@ class TestSubspaceCalculus:
 
     def test_zero_and_full_flags(self):
         assert Subspace.zero(2).is_zero()
-        assert Subspace.full(3).is_full()
+        s = Subspace.full(3)
+        assert s.dim == s.ambient_dim
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -16,10 +16,12 @@ from qopposition.quantum import (And, Literal, Or, OrthoFamily, State, leaves,
                                  truth, minimal_attribution)
 from qopposition.scenarios import BUILTIN_NAMES, builtin
 
-from helpers import (apply_unitary_literal, haar_unitary, random_literal,
-                     random_state, random_subspace)
+from helpers import (apply_unitary_literal, apply_unitary_subspace, haar_unitary,
+                     random_literal, random_state, random_subspace)
 
 R2 = 1.0 / math.sqrt(2.0)
+# a Subaltern's direction under swapping the pair, or negating both sides
+_FLIP = {"forward": "backward", "backward": "forward", None: None}
 
 
 def x_family():
@@ -119,7 +121,8 @@ class TestClassify:
         for _ in range(60):
             n = int(rng.integers(2, 5))
             p, q = random_literal(n, rng), random_literal(n, rng)
-            assert classify(p, q) == classify(q, p).swapped()
+            c, s = classify(p, q), classify(q, p)
+            assert (s.relation, s.direction) == (c.relation, _FLIP[c.direction])
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(71)
@@ -216,7 +219,8 @@ class TestNearParallel:
         c = classify(p, q)
         for w in c.witnesses.values():
             assert w.replay()
-        assert c == classify(q, p).swapped()
+        s = classify(q, p)
+        assert (s.relation, s.direction) == (c.relation, _FLIP[c.direction])
         meet = p.subspace.intersect(q.subspace)
         assert meet.dim == q.subspace.intersect(p.subspace).dim
         assert all(p.subspace.contains(v) and q.subspace.contains(v)
@@ -337,9 +341,9 @@ def generic_cell(props, pattern):
     only through the constructed witnesses, not by sampling)."""
     for p, want in zip(props, pattern):
         inside_needed = want == p.asserted
-        if inside_needed and not p.subspace.is_full():
+        if inside_needed and p.subspace.dim < p.subspace.ambient_dim:
             return False
-        if not inside_needed and p.subspace.is_full():
+        if not inside_needed and p.subspace.dim == p.subspace.ambient_dim:
             return False
     return True
 
@@ -567,7 +571,8 @@ class TestExactOracle:
         assert set(c.witnesses) == {k for k, v in (("both_true", True), ("both_false", False))
                                     if (v, v) in want}
         assert all(w.replay() for w in c.witnesses.values())
-        assert c == classify(q, p).swapped()
+        s = classify(q, p)
+        assert (s.relation, s.direction) == (c.relation, _FLIP[c.direction])
 
 
 def seeded_compound(subs, rng, depth=2):
@@ -605,7 +610,6 @@ class TestCompoundCorners:
         assert built >= 30  # polygons with a compound corner at A or E
 
 
-_FLIP = {"forward": "backward", "backward": "forward", None: None}
 _DUAL = {Relation.CONTRARY: Relation.SUBCONTRARY, Relation.SUBCONTRARY: Relation.CONTRARY}
 
 
@@ -626,6 +630,22 @@ def full_scale_pairs(count, seed):
         yield seeded_compound(subs, rng), seeded_compound(subs, rng)
 
 
+def shuffled(p, rng):
+    """p with the parts of every And/Or in a seeded random order."""
+    if isinstance(p, Literal):
+        return p
+    parts = [shuffled(x, rng) for x in p.parts]
+    return type(p)(tuple(parts[i] for i in rng.permutation(len(parts))))
+
+
+def rotated(p, images):
+    """p with each leaf subspace replaced by its image, keyed by identity,
+    so leaves shared by both sides of a pair stay shared."""
+    if isinstance(p, Literal):
+        return Literal(images[id(p.subspace)], p.asserted)
+    return type(p)(tuple(rotated(x, images) for x in p.parts))
+
+
 class TestMetamorphic:
     def test_negation_duality(self):
         # negation is set complement: negating both sides swaps both-true
@@ -641,3 +661,23 @@ class TestMetamorphic:
             c, s = classify(p, q), classify(q, p)
             assert (s.relation, s.direction) == (c.relation, _FLIP[c.direction])
             assert sorted(s.witnesses) == sorted(c.witnesses)
+
+    def test_leaf_order_permutation(self):
+        # the relation depends on the truth functions alone; witnesses may
+        # move, so each is replayed against the shuffled pair
+        rng = np.random.default_rng(101)
+        for p, q in full_scale_pairs(300, 103):
+            c, d = classify(p, q), classify(shuffled(p, rng), shuffled(q, rng))
+            assert (d.relation, d.direction) == (c.relation, c.direction)
+            assert all(w.replay() for w in d.witnesses.values())
+
+    def test_unitary_invariance(self):
+        # one Haar unitary on every leaf of both sides, up to C^16
+        rng = np.random.default_rng(107)
+        for p, q in full_scale_pairs(300, 109):
+            subs = {id(x.subspace): x.subspace for x in leaves(p) + leaves(q)}
+            u = haar_unitary(next(iter(subs.values())).ambient_dim, rng)
+            images = {k: apply_unitary_subspace(u, s) for k, s in subs.items()}
+            c, d = classify(p, q), classify(rotated(p, images), rotated(q, images))
+            assert (d.relation, d.direction) == (c.relation, c.direction)
+            assert all(w.replay() for w in d.witnesses.values())

@@ -177,6 +177,11 @@ class TestAttribution:
             mi = minimal_attribution(psi, fam)
             assert mi and mi == paraconsistent_attribution(psi, fam)
 
+    @pytest.mark.parametrize("semantics", [minimal_attribution, paraconsistent_attribution])
+    def test_state_of_the_wrong_dimension_is_refused(self, semantics):
+        with pytest.raises(DimensionMismatch):
+            semantics(State([1, 0, 0]), x_family())
+
     def test_unitary_covariance(self):
         rng = np.random.default_rng(61)
         fam = x_family()
@@ -199,7 +204,8 @@ class TestFamilyFromObservable:
     def test_identity_degenerate(self):
         fam = family_from_observable(Observable(np.eye(2), "I"))
         assert len(fam.members) == 1
-        assert fam.members[0][1].is_full()
+        s = fam.members[0][1]
+        assert s.dim == s.ambient_dim
 
     def test_pauli_x(self):
         fam = family_from_observable(Observable(np.array([[0, 1], [1, 0]],
@@ -223,6 +229,20 @@ class TestFamilyFromObservable:
         for (_, s), (_, t) in zip(fam.members, again.members):
             assert np.array_equal(s.basis, t.basis)
 
+    @pytest.mark.parametrize("spectrum, labels, dims", [
+        # each gap is below eps: the chain merges although its ends are
+        # 2.7e-9 apart, and the label is the mean
+        ([0.0, 9e-10, 1.8e-9, 2.7e-9], ["1.35e-09"], [4]),
+        ([0.0, 6e-10, 1.2e-9, 3.0], ["6e-10", "3"], [3, 1]),
+        # a gap of exactly eps splits
+        ([0.0, 1e-9], ["0", "1e-09"], [1, 1]),
+        ([0.0, 1e-9, 1.5e-9, 3.0], ["0", "1.25e-09", "3"], [1, 2, 1]),
+    ])
+    def test_eigenvalues_group_at_gaps_of_eps(self, spectrum, labels, dims):
+        fam = family_from_observable(Observable(np.diag(spectrum), "D"))
+        assert fam.labels == labels
+        assert [s.dim for _, s in fam.members] == dims
+
     def test_member_bases_are_the_eigenvectors(self):
         # each member's basis is its block of hermitian_eig's columns, bit
         # for bit: no second orthonormalization
@@ -241,6 +261,23 @@ class TestOrthoFamilyInvariants:
         with pytest.raises(QuantumError):
             OrthoFamily(2, [("a", gram_schmidt([[1, 0]])),
                             ("b", gram_schmidt([[R2, R2]]))])
+
+    @pytest.mark.parametrize("spans, pair", [
+        # p's first column meets r before its second meets q, yet (p, q)
+        # comes first in member order; z has no columns; 2 + 0 + 1 + 1 > 3
+        ({"p": [[1, 0, 0], [0, 1, 0]], "z": [], "q": [[0, 1, 1]], "r": [[1, 0, 0]]},
+         ("p", "q")),
+        # the first member's only offending partner is the last one
+        ({"a": [[0, 0, 1]], "b": [[1, 0, 0]], "c": [[0, 1, 0]], "d": [[0, 1, 1]]},
+         ("a", "d")),
+        ({"z": [], "a": [[1, 0, 0]], "b": [[0, 1, 0]], "c": [[0, 1, 1]]}, ("b", "c")),
+    ])
+    def test_first_offending_pair_is_named(self, spans, pair):
+        members = [(lab, gram_schmidt(vs) if vs else Subspace.zero(3))
+                   for lab, vs in spans.items()]
+        with pytest.raises(QuantumError,
+                           match=f"^members {pair[0]!r} and {pair[1]!r} are not orthogonal$"):
+            OrthoFamily(3, members)
 
     def test_incomplete_rejected(self):
         with pytest.raises(QuantumError):
