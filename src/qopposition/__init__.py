@@ -7,7 +7,7 @@ from .quantum import (And, Literal, Observable, Or, OrthoFamily, State, born,
                       paraconsistent_attribution, superpose, truth)
 from .opposition import (Classification, Relation, Witness, build_hexagon,
                          build_square, can_both_be_false, can_both_be_true,
-                         classify, entails, random_witness_search)
+                         classify, entails)
 from .lp import (TV, Atom, Not, AndF, OrF, Imp, Iff, consequence,
                  equivalence_chain, eval3, models, parse_formula,
                  postulate_of_contradiction, satisfiable)

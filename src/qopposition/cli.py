@@ -24,11 +24,10 @@ import sys
 import numpy as np
 
 from . import lp
-from .linalg import EPS, LinalgError, check_eps
-from .opposition import OppositionError
-from .quantum import QuantumError, State, truth
-from .scenarios import (BUILTIN_NAMES, ScenarioError, Scenario, builtin,
-                        canonical_json, load_scenario, run_all, run_query, serialize)
+from .linalg import EPS, check_eps
+from .quantum import State, truth
+from .scenarios import (BUILTIN_NAMES, Scenario, builtin, canonical_json,
+                        load_scenario, run_all, run_query, serialize)
 
 SCHEMA_VERSION = 1
 
@@ -39,7 +38,7 @@ EXIT_NOT_CONSEQUENCE = 4
 EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -47,13 +46,17 @@ def _load(name: str, eps: float) -> Scenario:
     if name in BUILTIN_NAMES:
         return builtin(name)
     if os.path.exists(name):
-        with open(name, encoding="utf-8") as fh:
-            return load_scenario(fh.read(), eps)
+        try:
+            with open(name, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:  # a directory, or a file this user cannot read
+            raise CliError(f"cannot read scenario file {name!r}: {exc.strerror}") from None
+        return load_scenario(text, eps)
     raise CliError(f"no builtin or scenario file named {name!r} "
                    f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
 
-def _emit(args, command: str, results: dict, warnings=(), dot: str | None = None) -> None:
+def _emit(args, command: str, results: dict, warnings=()) -> None:
     """Print the report on a command in the requested format."""
     if args.format == "json":
         print(canonical_json({"schema": SCHEMA_VERSION, "command": command,
@@ -61,7 +64,7 @@ def _emit(args, command: str, results: dict, warnings=(), dot: str | None = None
                               "warnings": list(warnings)}))
         return
     if args.format == "dot":
-        print(dot)
+        print(polygon_dot(results, args.op))
         return
     print(f"# {command}  (eps={args.eps:g})")
     for w in warnings:
@@ -80,22 +83,14 @@ def _inline(v) -> bool:
 
 
 def _emit_text(obj, indent: str = "") -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            if _inline(v):
-                print(f"{indent}{k}: {_scalar(v)}")
-            else:
-                print(f"{indent}{k}:")
-                _emit_text(v, indent + "  ")
-    elif isinstance(obj, list):
-        for v in obj:
-            if _inline(v):
-                print(f"{indent}- {_scalar(v)}")
-            else:
-                print(f"{indent}-")
-                _emit_text(v, indent + "  ")
-    else:
-        print(f"{indent}{_scalar(obj)}")
+    pairs = ([(f"{k}:", v) for k, v in obj.items()] if isinstance(obj, dict)
+             else [("-", v) for v in obj])
+    for head, v in pairs:
+        if _inline(v):
+            print(f"{indent}{head} {_scalar(v)}")
+        else:
+            print(f"{indent}{head}")
+            _emit_text(v, indent + "  ")
 
 
 def _scalar(v) -> str:
@@ -179,8 +174,7 @@ def cmd_query(args) -> int:
     for name in args.words:
         value = getattr(args, name)
         words += value if isinstance(value, list) else [value]
-    dot = polygon_dot(result, args.op) if args.format == "dot" else None
-    _emit(args, " ".join(words), result, sc.warnings if sc else (), dot)
+    _emit(args, " ".join(words), result, sc.warnings if sc else ())
     if "consequence" in result:
         return EXIT_OK if result["consequence"] else EXIT_NOT_CONSEQUENCE
     return EXIT_OK if result.get("satisfiable", True) else EXIT_UNSAT
@@ -311,13 +305,12 @@ def main(argv=None) -> int:
             status = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return status
-    except (CliError, ScenarioError, QuantumError, LinalgError, lp.LogicError,
-            OppositionError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # every refused input; the library's errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:
-        # a formula or proposition nested deeper than the recursive parser
-        # and evaluators reach
+        # an LP formula nested deeper than the recursive parser and
+        # evaluators reach; propositions are bounded when a file is loaded
         print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

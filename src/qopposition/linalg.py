@@ -20,7 +20,7 @@ EPS = 1e-9
 MAX_DIM = 16
 
 
-class LinalgError(Exception):
+class LinalgError(ValueError):
     pass
 
 
@@ -84,12 +84,11 @@ def is_hermitian(m, eps: float = EPS) -> bool:
 
 
 def _canonical_phase(v: np.ndarray, eps: float) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible component is
-    real and positive.  Keeps eigenvector output reproducible."""
+    """Rotate the global phase so the first component above eps is real and
+    positive: a unit vector has one, of size >= 1/sqrt(MAX_DIM) = 1/4."""
     for x in v:
         if abs(x) > eps:
             return v * (abs(x) / x)
-    return v
 
 
 def hermitian_eig(m, eps: float = EPS):
@@ -99,8 +98,8 @@ def hermitian_eig(m, eps: float = EPS):
     Returns (eigenvalues, eigenvectors): eigenvalues ascending as a real
     array, eigenvectors as columns of a unitary matrix, phases fixed so
     the first nonzero component of each vector is real positive.  Ties in
-    the eigenvalue sort are broken by lexicographic comparison of the
-    eigenvector components.
+    the eigenvalue sort are broken by the eigenvector components, compared
+    as (re, im) pairs in order.
     """
     check_eps(eps)
     a = as_matrix(m)
@@ -111,14 +110,11 @@ def hermitian_eig(m, eps: float = EPS):
         evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed: {exc}") from None
-    vecs = [_canonical_phase(v[:, i].copy(), eps) for i in range(n)]
-
-    def sort_key(i):
-        comps = tuple((x.real, x.imag) for x in vecs[i])
-        return (evals[i], comps)
-
-    order = sorted(range(n), key=sort_key)
-    return evals[order], np.column_stack([vecs[i] for i in order])
+    vecs = np.column_stack([_canonical_phase(v[:, i].copy(), eps) for i in range(n)])
+    # np.lexsort sorts by its last key first: evals, then re v_0i, im v_0i, re v_1i, ...
+    keys = np.stack([vecs.real, vecs.imag], axis=1).reshape(2 * n, n)[::-1]
+    order = np.lexsort(np.vstack([keys, evals]))
+    return evals[order], np.ascontiguousarray(vecs[:, order])  # C order, as stacked
 
 
 class Subspace:

@@ -31,7 +31,7 @@ LP = "lp"
 MODES = (CLASSICAL, LP)
 
 
-class LogicError(Exception):
+class LogicError(ValueError):
     pass
 
 

@@ -36,7 +36,7 @@ DEFAULT_TRIALS = 2000
 MEET_BUDGET = 2 ** 12
 
 
-class OppositionError(Exception):
+class OppositionError(ValueError):
     pass
 
 
@@ -263,9 +263,6 @@ def classify(p: Proposition, q: Proposition, eps: float = EPS) -> Classification
 
 # --- square and hexagon ---------------------------------------------------
 
-SQUARE_POSITIONS = ("A", "E", "I", "O")
-HEXAGON_POSITIONS = ("A", "E", "I", "O", "U", "Y")
-
 # the classical hexagon pattern the construction is checked against
 _SUB = lambda d: (Relation.SUBALTERN, d)
 HEXAGON_PATTERN = {
@@ -285,8 +282,7 @@ HEXAGON_PATTERN = {
     ("O", "Y"): _SUB("backward"),
     ("U", "Y"): (Relation.CONTRADICTORY, None),
 }
-SQUARE_PATTERN = {k: v for k, v in HEXAGON_PATTERN.items()
-                  if k[0] in SQUARE_POSITIONS[:4] and k[1] in SQUARE_POSITIONS}
+SQUARE_PATTERN = {k: v for k, v in HEXAGON_PATTERN.items() if not {"U", "Y"} & set(k)}
 
 
 @dataclass(frozen=True)
@@ -299,13 +295,13 @@ class Polygon:
     deviations: tuple
 
 
-def _build(a: Proposition, e: Proposition, names, pattern, eps) -> Polygon:
-    # negate() is set complement, so one walk over a and e serves all corners
+def _build(a: Proposition, e: Proposition, pattern, eps) -> Polygon:
+    # the corners are the pattern's keys; one walk over a and e serves them all
     (ta, te), states = _patterns((a, e), eps)
     full = (1 << len(states)) - 1
     positions = {"A": a, "E": e, "I": e.negate(), "O": a.negate()}
     tables = {"A": ta, "E": te, "I": full & ~te, "O": full & ~ta}
-    if "U" in names:
+    if ("U", "Y") in pattern:
         positions["U"] = Or((a, e))
         positions["Y"] = And((positions["I"], positions["O"]))
         tables["U"], tables["Y"] = ta | te, full & ~(ta | te)
@@ -325,8 +321,8 @@ def _build(a: Proposition, e: Proposition, names, pattern, eps) -> Polygon:
 
 
 def build_square(a: Proposition, e: Proposition, eps: float = EPS) -> Polygon:
-    return _build(a, e, SQUARE_POSITIONS, SQUARE_PATTERN, eps)
+    return _build(a, e, SQUARE_PATTERN, eps)
 
 
 def build_hexagon(a: Proposition, e: Proposition, eps: float = EPS) -> Polygon:
-    return _build(a, e, HEXAGON_POSITIONS, HEXAGON_PATTERN, eps)
+    return _build(a, e, HEXAGON_PATTERN, eps)

@@ -17,7 +17,7 @@ from .linalg import (EPS, DimensionMismatch, Subspace, _norm, _unit, as_vector,
                      as_matrix, check_eps, hermitian_eig, is_hermitian)
 
 
-class QuantumError(Exception):
+class QuantumError(ValueError):
     pass
 
 
@@ -211,14 +211,13 @@ def born(psi: State, s: Subspace) -> float:
     """Born probability |P_S psi|^2 of finding the state in the subspace."""
     if psi.dim != s.ambient_dim:
         raise DimensionMismatch(f"state dim {psi.dim} vs ambient {s.ambient_dim}")
-    return min(_norm(s.basis @ (s.basis.conj().T @ psi.vector)) ** 2, 1.0)
+    return min(_norm(s.basis @ (s._bh @ psi.vector)) ** 2, 1.0)
 
 
 def minimal_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> set:
     """Labels of the family members whose eigenspace contains the state.
     Empty exactly when the state is superposed across members."""
-    return {lab for lab, sub in family.members
-            if sub.dim and sub.contains(psi.vector, eps)}
+    return {lab for lab, sub in family.members if sub.contains(psi.vector, eps)}
 
 
 def paraconsistent_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> set:

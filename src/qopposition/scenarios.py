@@ -23,7 +23,11 @@ from .quantum import (And, Literal, Observable, Or, OrthoFamily, Proposition,
                       State, born, minimal_attribution,
                       paraconsistent_attribution, superpose)
 
-class ScenarioError(Exception):
+# and/or levels a proposition may nest.  The evaluators and the JSON writer
+# recurse; refusing deeper ones at load gives every command the same limit
+MAX_NESTING = 100
+
+class ScenarioError(ValueError):
     pass
 
 
@@ -216,7 +220,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
     return sc
 
 
-def _parse_prop(raw, sc: Scenario, pname: str) -> Proposition:
+def _parse_prop(raw, sc: Scenario, pname: str, depth: int = 0) -> Proposition:
     if isinstance(raw, str):
         try:
             return sc.resolve_proposition(raw)
@@ -225,7 +229,9 @@ def _parse_prop(raw, sc: Scenario, pname: str) -> Proposition:
     if isinstance(raw, dict) and len(raw) == 1:
         key, parts = next(iter(raw.items()))
         if key in ("and", "or") and isinstance(parts, list) and parts:
-            sub = tuple(_parse_prop(x, sc, pname) for x in parts)
+            if depth == MAX_NESTING:
+                raise ScenarioError("input is nested too deeply")
+            sub = tuple(_parse_prop(x, sc, pname, depth + 1) for x in parts)
             return And(sub) if key == "and" else Or(sub)
     raise ScenarioError(f"proposition {pname!r}: expected 'family.member', "
                         "'!family.member', or a {'and'|'or': [...]} object")

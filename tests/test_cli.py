@@ -7,7 +7,12 @@ import warnings
 import pytest
 
 from qopposition.cli import (EXIT_NOT_CONSEQUENCE, EXIT_OK, EXIT_PIPE, EXIT_UNSAT,
-                             EXIT_USAGE, main)
+                             EXIT_USAGE, CliError, main)
+from qopposition.linalg import ConvergenceError, DimensionMismatch, LinalgError
+from qopposition.lp import LogicError, ParseError
+from qopposition.opposition import OppositionError
+from qopposition.quantum import QuantumError
+from qopposition.scenarios import ScenarioError
 
 
 def run(capsys, *argv):
@@ -376,6 +381,72 @@ class TestScenario:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: input is nested too deeply\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "FILE", "deep", "b"),
+        ("classify", "FILE", "!deep", "b"),
+        ("square", "FILE", "deep", "b"),
+        ("hexagon", "FILE", "deep", "b"),
+        ("scenario", "show", "FILE"),
+        ("scenario", "show", "FILE", "--format", "json"),
+        ("scenario", "run", "FILE"),
+        ("scenario", "run", "FILE", "--format", "json"),
+        ("prob", "FILE", "s", "f"),
+        ("classify", "FILE", "deep", "b", "--check-witness",
+         '{"state": [[1, 0], [0, 0]], "pattern": [true, false]}'),
+    ], ids=["classify", "classify-negated", "square", "hexagon", "show-text",
+            "show-json", "run-text", "run-json", "prob", "check-witness"])
+    @pytest.mark.parametrize("depth", [100, 101, 400])
+    def test_nesting_limit_is_the_same_for_every_command(self, capsys, tmp_path,
+                                                          argv, depth):
+        # an and/or chain over f.a, alternating the connective: it holds
+        # exactly where f.a does, so it is Contrary to f.b at every depth
+        deep = "f.a"
+        for level in range(depth):
+            deep = {"and" if level % 2 else "or": [deep, "f.a"]}
+        doc = {"name": "t", "dim": 2, "states": {"s": [[1, 0], [0, 0]]},
+               "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
+                                              ["b", [[[0, 0], [1, 0]]]]]}},
+               "propositions": {"deep": deep, "b": "f.b"},
+               "queries": [{"op": "classify", "args": {"p": "deep", "q": "b"}},
+                           {"op": "hexagon", "args": {"a": "deep", "e": "b"}}]}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+        if depth <= 100:
+            assert code == EXIT_OK and err == "" and "nested" not in out
+        else:
+            assert code == EXIT_USAGE and out == ""
+            assert err == "error: input is nested too deeply\n"
+
+    @pytest.mark.parametrize("argv", [("scenario", "show", "DIR"),
+                                      ("classify", "DIR", "a", "b")],
+                             ids=["show", "classify"])
+    def test_directory_is_a_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(str(tmp_path) if a == "DIR" else a for a in argv))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: cannot read scenario file {str(tmp_path)!r}: ")
+
+    def test_zero_dimensional_member(self, capsys, tmp_path):
+        # a member with no vectors is the zero subspace: a state never lies in
+        # it, so z is Contrary to a and Contradictory to its own negation
+        from qopposition.scenarios import load_scenario, serialize
+        doc = {"name": "t", "dim": 2,
+               "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
+                                              ["b", [[[0, 0], [1, 0]]]], ["z", []]]}},
+               "propositions": {"a": "f.a", "z": "f.z"}}
+        sc = load_scenario(json.dumps(doc))
+        assert sc.families["f"].subspace("z").is_zero()
+        path = tmp_path / "sc.json"
+        path.write_text(serialize(sc))
+        code, out, _ = run(capsys, "scenario", "show", str(path), "--format", "json")
+        assert code == EXIT_OK and out == path.read_text() + "\n"
+        assert '["z",[]]' in out
+        code, doc = run_json(capsys, "classify", str(path), "a", "z")
+        assert code == EXIT_OK and doc["results"]["relation"] == "Contrary"
+        code, doc = run_json(capsys, "classify", str(path), "z", "!z")
+        assert code == EXIT_OK and doc["results"]["relation"] == "Contradictory"
+        assert doc["results"]["witnesses"] == {}
+
     def test_lp_check_query_matches_lp_check(self, capsys, tmp_path):
         from qopposition.scenarios import builtin, serialize
         doc = json.loads(serialize(builtin("cat")))
@@ -403,6 +474,25 @@ class TestScenario:
         code, out, err = run(capsys, "scenario", "run", str(path))
         assert code == EXIT_USAGE
         assert "line 2" in err
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("error", [
+        LinalgError, DimensionMismatch, ConvergenceError, QuantumError, OppositionError,
+        LogicError, ParseError, ScenarioError, CliError], ids=lambda e: e.__name__)
+    def test_every_library_error_is_a_value_error(self, error):
+        assert issubclass(error, ValueError)
+
+    def test_a_key_error_is_a_defect_not_a_usage_error(self, monkeypatch):
+        # main turns refused input (ValueError) into exit 2; a KeyError is
+        # raised by no input path, so one from the library must escape
+        from qopposition import cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("defect")
+        monkeypatch.setattr(cli, "run_query", broken)
+        with pytest.raises(KeyError):
+            main(["classify", "spin_half_x", "u_x", "d_x"])
 
 
 class TestGlobalFlags:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
-                                LinalgError, Subspace, _norm, gram_schmidt,
-                                hermitian_eig)
+                                LinalgError, Subspace, _norm, as_matrix, as_vector,
+                                gram_schmidt, hermitian_eig)
 from qopposition.quantum import Observable, family_from_observable
 
 from helpers import haar_unitary, random_hermitian, random_subspace, random_state
@@ -401,3 +401,24 @@ class TestMeetCertificate:
                 a = gram_schmidt([u[:, 0]])
                 b = gram_schmidt([math.cos(theta) * u[:, 0] + math.sin(theta) * u[:, 1]])
                 assert a.intersect(b).is_zero() and b.intersect(a).is_zero()
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make, error", [
+        (lambda: as_vector([]), ValueError),
+        (lambda: as_vector(np.ones(17)), DimensionMismatch),
+        (lambda: as_matrix(np.ones((2, 3))), ValueError),
+        (lambda: as_matrix(np.eye(17)), DimensionMismatch),
+        (lambda: as_matrix([[1, np.nan], [0, 1]]), ValueError),
+        (lambda: Subspace(0), ValueError),
+        (lambda: Subspace(17), ValueError),
+        (lambda: Subspace(3, np.eye(2)), DimensionMismatch),
+        (lambda: Subspace(2, np.ones((2, 3))), ValueError),
+        (lambda: gram_schmidt([[1, 0], [1, 0, 0]]), DimensionMismatch),
+    ], ids=["vector-empty", "vector-17", "matrix-not-square", "matrix-17",
+            "matrix-nan", "ambient-0", "ambient-17", "basis-height",
+            "basis-too-wide", "vectors-mixed-sizes"])
+    def test_refused_input_raises_its_type(self, make, error):
+        with pytest.raises(error) as exc:
+            make()
+        assert type(exc.value) is error and isinstance(exc.value, ValueError)

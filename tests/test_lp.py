@@ -348,3 +348,21 @@ class TestParser:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("p q")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make, error", [
+        (lambda: Atom(""), LogicError),
+        (lambda: satisfiable([Atom("p")], "fuzzy"), LogicError),
+        (lambda: postulate_of_contradiction([]), LogicError),
+        (lambda: equivalence_chain(["a", "a"]), LogicError),
+        (lambda: eval3(lp.BinOp(Atom("p"), Atom("p")), {"p": TV.T}), TypeError),
+        (lambda: satisfiable([lp.BinOp(Atom("p"), Atom("p"))]), TypeError),
+    ], ids=["atom-empty", "mode-unknown", "postulate-no-labels",
+            "chain-duplicate-labels", "eval3-non-formula", "masks-non-formula"])
+    def test_refused_input_raises_its_type(self, make, error):
+        # the CLI's choices hide the unknown mode; the library still refuses it
+        with pytest.raises(error) as exc:
+            make()
+        assert type(exc.value) is error
+        assert isinstance(exc.value, ValueError) == (error is not TypeError)

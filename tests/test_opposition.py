@@ -241,6 +241,15 @@ class TestWitnessSearch:
         b = random_witness_search((u_x, d_x), (False, False), seed=9, trials=500)
         assert np.array_equal(a.state.vector, b.state.vector)
 
+    @pytest.mark.parametrize("search", [
+        lambda u, d: random_witness_search((u, d), (True, True), seed=0, trials=0),
+        lambda u, d: random_witness_search((u,), (True, True), seed=0),
+    ], ids=["no-trials", "lengths-differ"])
+    def test_refused_input_raises_value_error(self, u_x, d_x, search):
+        with pytest.raises(ValueError) as exc:
+            search(u_x, d_x)
+        assert type(exc.value) is ValueError
+
 
 class TestSquare:
     def test_spin_square_pattern(self, u_x, d_x):
@@ -582,6 +591,29 @@ def seeded_compound(subs, rng, depth=2):
         return Literal(subs[int(rng.integers(len(subs)))], bool(rng.integers(2)))
     parts = tuple(seeded_compound(subs, rng, depth - 1) for _ in range(int(rng.integers(2, 4))))
     return And(parts) if rng.integers(2) else Or(parts)
+
+
+class TestCompoundOracleAgreement:
+    def test_search_hits_are_decided_yes(self):
+        # the sampler evaluates And/Or through its own vectorized truth, apart
+        # from the pattern walk: wherever it finds a state, the exact answer is
+        # yes, and every yes carries a witness that replays
+        rng = np.random.default_rng(113)
+        compound_hits = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            subs = [random_subspace(n, int(rng.integers(0, n + 1)), rng)
+                    for _ in range(int(rng.integers(1, 4)))]
+            p, q = seeded_compound(subs, rng), seeded_compound(subs, rng)
+            for pattern, (got, w) in (((True, True), can_both_be_true(p, q)),
+                                      ((False, False), can_both_be_false(p, q))):
+                assert (w is not None) == got and (w is None or w.replay())
+                found = random_witness_search((p, q), pattern,
+                                              seed=int(rng.integers(1 << 31)), trials=2000)
+                if found is not None:
+                    assert got and found.replay(), (p, q, pattern)
+                    compound_hits += not isinstance(p, Literal) and not isinstance(q, Literal)
+        assert compound_hits > 0  # not vacuous: the compound branches were sampled
 
 
 class TestCompoundCorners:

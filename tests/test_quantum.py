@@ -283,3 +283,21 @@ class TestOrthoFamilyInvariants:
         with pytest.raises(QuantumError):
             OrthoFamily(3, [("a", gram_schmidt([[1, 0, 0]])),
                             ("b", gram_schmidt([[0, 1, 0]]))])
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make, error", [
+        (lambda: OrthoFamily(2, []), QuantumError),
+        (lambda: OrthoFamily(2, [("a", Subspace.full(2)), ("a", Subspace.zero(2))]),
+         QuantumError),
+        (lambda: OrthoFamily(2, [("a", Subspace.full(2)), ("z", Subspace.zero(3))]),
+         DimensionMismatch),
+        (lambda: superpose([], []), QuantumError),
+        (lambda: truth("up_x", UP_X), TypeError),
+    ], ids=["family-empty", "family-duplicate-labels", "family-mixed-ambient",
+            "superpose-empty", "truth-non-proposition"])
+    def test_refused_input_raises_its_type(self, make, error):
+        with pytest.raises(error) as exc:
+            make()
+        assert type(exc.value) is error
+        assert isinstance(exc.value, ValueError) == (error is not TypeError)

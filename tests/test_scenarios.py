@@ -283,3 +283,19 @@ class TestQueries:
         out = run_query(sc, {"op": "prob", "args": {"state": "abc",
                                                     "family": "level"}})
         assert sum(out["probabilities"].values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"name": "t", "dim": 2, "observables": {"X": [[[0, 0], [1, 0]]]}},
+        {"name": "t", "dim": 2, "queries": {}},
+        {"name": "t", "dim": 2,
+         "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
+                                        ["b", [[[0, 0], [1, 0]]]]]}},
+         "propositions": {"p": {"xor": ["f.a", "f.b"]}}},
+    ], ids=["document-list", "observable-rows", "queries-object", "proposition-xor"])
+    def test_refused_document_raises_scenario_error(self, doc):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(json.dumps(doc))
+        assert type(exc.value) is ScenarioError and isinstance(exc.value, ValueError)
