@@ -108,14 +108,16 @@ Formula = Atom | Not | AndF | OrF | Imp | Iff
 
 
 def atoms(*formulas) -> set:
-    """The atom names of the formulas, collected in one walk."""
+    """The atom names of the formulas, in one walk that refuses non-formulas."""
     names, todo = set(), list(formulas)
     while todo:
         f = todo.pop()
         if isinstance(f, Atom):
             names.add(f.name)
-        else:
+        elif isinstance(f, Formula):
             todo += (f.arg,) if isinstance(f, Not) else (f.left, f.right)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
     return names
 
 
@@ -129,6 +131,8 @@ def eval3(f: Formula, valuation: dict) -> TV:
             raise LogicError(f"valuation misses atom {f.name!r}") from None
     if isinstance(f, Not):
         return eval3(f.arg, valuation).neg()
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
     a, b = eval3(f.left, valuation), eval3(f.right, valuation)
     if isinstance(f, AndF):
         return min(a, b)
@@ -136,9 +140,7 @@ def eval3(f: Formula, valuation: dict) -> TV:
         return max(a, b)
     if isinstance(f, Imp):
         return max(a.neg(), b)
-    if isinstance(f, Iff):
-        return min(max(a.neg(), b), max(b.neg(), a))
-    raise TypeError(f"not a formula: {f!r}")
+    return min(max(a.neg(), b), max(b.neg(), a))  # Iff
 
 
 # the values of each mode in enumeration order, indexed by digit
@@ -162,9 +164,7 @@ def _masks(node: Formula, atom_masks: dict) -> tuple:
         return ta | tb, fa & fb
     if isinstance(node, Imp):
         return fa | tb, ta & fb
-    if isinstance(node, Iff):
-        return (fa | tb) & (fb | ta), (ta & fb) | (tb & fa)
-    raise TypeError(f"not a formula: {node!r}")
+    return (fa | tb) & (fb | ta), (ta & fb) | (tb & fa)  # Iff: atoms() refused the rest
 
 
 def _scan(premises, mode, conclusion=None):

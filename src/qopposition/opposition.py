@@ -9,16 +9,18 @@ S_j with j outside I.  A complex space is never a finite union of proper
 subspaces, so a short deterministic search over T_I finds that state
 whenever T_I lies in no such S_j.  The four questions (can both be true?
 can both be false? does either entail the other?) are bit tests on int
-truth masks over the realizable patterns, every positive answer carries
-its first pattern's witness, and the relation follows from the
-square-of-opposition taxonomy; a polygon's corners other than A and E take
-their masks by complement, since negation is set complement.  The walk
-visits each nonzero meet once: orthogonal leaves have few, while k generic
-hyperplanes have up to 2^k, so a decision is refused once it has visited
-more than MEET_BUDGET of them.
+truth masks over the realizable patterns, which `quantum.evaluate` folds
+from the leaves' masks as `truth` does at one state.  Every positive
+answer carries its first pattern's witness, and the relation follows from
+the square-of-opposition taxonomy; a polygon's corners other than A and E
+take their masks by complement, since negation is set complement.  The
+walk visits each nonzero meet once: orthogonal leaves have few, while k
+generic hyperplanes have up to 2^k, so a decision is refused once it has
+visited more than MEET_BUDGET of them.
 
-`random_witness_search` samples Haar-random states.  No decision uses it;
-the tests keep it as an independent oracle.
+`random_witness_search` samples Haar-random states.  It tests membership
+on its own, vectorized over the samples, and shares only the And/Or fold
+of `evaluate`.  No decision uses it; the tests keep it as an oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import EPS, _norm, _unit, check_eps
-from .quantum import (And, Literal, Or, Proposition, State, ambient_dim_of,
+from .quantum import (And, Or, Proposition, State, ambient_dim_of, evaluate,
                       leaves, truth)
 
 DEFAULT_TRIALS = 2000
@@ -110,19 +112,21 @@ def _patterns(props, eps: float):
     state, keyed by the Subspace objects themselves (they hash by
     identity).  A depth-first walk over subsets finds them, skipping every
     superset of an empty meet and raising OppositionError past MEET_BUDGET
-    nonzero meets.  A prop's truth table is one int: bit i is set where it
-    holds at the i-th pattern of the walk, whose witness is states[i].  For
-    the empty pattern the whole space is spanned by the eigenbasis of the
+    nonzero meets.  The i-th pattern of the walk, whose witness is
+    states[i], sets bit i in the mask of each of its subspaces, and a
+    prop's truth table is the int that `evaluate` folds from those masks.
+    For the empty pattern the whole space is spanned by the eigenbasis of the
     first leaf's orthogonal family when it has one, so that witness is an
     eigenstate, or an equal-weight superposition of eigenstates, of the
     observable in play."""
     lits = leaves(props[0]) + leaves(props[1])
-    subs = list(dict.fromkeys(lit.subspace for lit in lits))
+    masks = dict.fromkeys((lit.subspace for lit in lits), 0)
+    subs = list(masks)
     n = ambient_dim_of(subs)
     check_eps(eps)
     fam = lits[0].family
     whole = fam.basis if fam is not None else np.eye(n, dtype=complex)
-    found = []
+    states = []
     visited = 0
 
     def walk(inside: frozenset, meet, start: int) -> None:
@@ -135,7 +139,9 @@ def _patterns(props, eps: float):
         basis = whole if meet is None else meet.basis
         for v in _candidates(basis, len(subs)):
             if all(sub._contains(v, eps) == (sub in inside) for sub in subs):
-                found.append((inside, State(v, eps)))
+                for sub in inside:
+                    masks[sub] |= 1 << len(states)
+                states.append(State(v, eps))
                 break
         for j in range(start, len(subs)):
             nxt = subs[j] if meet is None else meet.intersect(subs[j], eps)
@@ -143,17 +149,7 @@ def _patterns(props, eps: float):
                 walk(inside | {subs[j]}, nxt, j + 1)
 
     walk(frozenset(), None, 0)
-    return ([sum(1 << i for i, (inside, _) in enumerate(found) if _holds(p, inside))
-             for p in props], [st for _, st in found])
-
-
-def _holds(p: Proposition, inside: frozenset) -> bool:
-    """Truth of p at every state whose membership pattern is `inside`."""
-    if isinstance(p, Literal):
-        return (p.subspace in inside) == p.asserted
-    if isinstance(p, And):
-        return all(_holds(part, inside) for part in p.parts)
-    return any(_holds(part, inside) for part in p.parts)
+    return [evaluate(p, masks.get, (1 << len(states)) - 1) for p in props], states
 
 
 def _both(p, q, mask: int, value: bool, states: list):
@@ -187,27 +183,6 @@ def _classify(p: Proposition, q: Proposition, tp: int, tq: int, states: list) ->
 
 # --- public decision procedures ------------------------------------------
 
-def _truth_batch(p: Proposition, z: np.ndarray, eps: float) -> np.ndarray:
-    """Truth of a proposition at each unit column of z, vectorized."""
-    if isinstance(p, Literal):
-        if p.subspace.is_zero():
-            inside = np.zeros(z.shape[1], dtype=bool)
-        else:
-            b = p.subspace.basis
-            residual = z - b @ (b.conj().T @ z)
-            inside = np.linalg.norm(residual, axis=0) < eps
-        return inside if p.asserted else ~inside
-    if isinstance(p, And):
-        out = np.ones(z.shape[1], dtype=bool)
-        for part in p.parts:
-            out &= _truth_batch(part, z, eps)
-        return out
-    out = np.zeros(z.shape[1], dtype=bool)
-    for part in p.parts:
-        out |= _truth_batch(part, z, eps)
-    return out
-
-
 def random_witness_search(props, pattern, seed: int,
                           trials: int = DEFAULT_TRIALS, eps: float = EPS) -> Witness | None:
     """Sample seeded Haar-like random unit states until one realizes the
@@ -221,16 +196,15 @@ def random_witness_search(props, pattern, seed: int,
     if len(props) != len(pattern):
         raise ValueError("props and pattern lengths differ")
     n = ambient_dim_of(lit.subspace for p in props for lit in leaves(p))
+    goal = And(tuple(p if want else p.negate() for p, want in zip(props, pattern)))
     rng = np.random.default_rng(seed)
     remaining = trials
     while remaining > 0:
         m = min(remaining, 512)
         z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         z /= np.linalg.norm(z, axis=0)
-        ok = np.ones(m, dtype=bool)
-        for p, want in zip(props, pattern):
-            ok &= _truth_batch(p, z, eps) == want
-        hits = np.flatnonzero(ok)
+        inside = lambda s: np.linalg.norm(z - s.basis @ (s._bh @ z), axis=0) < eps
+        hits = np.flatnonzero(evaluate(goal, inside, True))
         if hits.size:
             return Witness(State(z[:, hits[0]], eps), props, pattern)
         remaining -= m

@@ -10,6 +10,8 @@ negations, which is what keeps contraries distinct from contradictories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_
 
 import numpy as np
 
@@ -176,18 +178,27 @@ def ambient_dim_of(subspaces) -> int:
     return dims.pop()
 
 
+def evaluate(p: Proposition, leaf, full):
+    """The truth of p, folded from leaf(subspace), the truth of membership
+    in each leaf: a bool at one state (full=True), an int with one bit per
+    membership pattern (full has every bit), or a numpy bool array over
+    sampled states.  Negation is set complement, full ^ leaf(...), and And
+    and Or fold their parts with & and |, every part evaluated."""
+    if isinstance(p, Literal):
+        inside = leaf(p.subspace)
+        return inside if p.asserted else full ^ inside
+    if isinstance(p, And):
+        return reduce(and_, (evaluate(part, leaf, full) for part in p.parts), full)
+    if isinstance(p, Or):
+        return reduce(or_, (evaluate(part, leaf, full) for part in p.parts), False)
+    raise TypeError(f"not a proposition: {p!r}")
+
+
 def truth(p: Proposition, psi: State, eps: float = EPS) -> bool:
     """Classical truth of a proposition at a state: a literal holds iff the
     state lies in (resp. out of) its eigenspace; compounds by truth tables
     over the leaf values."""
-    if isinstance(p, Literal):
-        inside = p.subspace.contains(psi.vector, eps)
-        return inside if p.asserted else not inside
-    if isinstance(p, And):
-        return all(truth(part, psi, eps) for part in p.parts)
-    if isinstance(p, Or):
-        return any(truth(part, psi, eps) for part in p.parts)
-    raise TypeError(f"not a proposition: {p!r}")
+    return evaluate(p, lambda s: s.contains(psi.vector, eps), True)
 
 
 def superpose(coefficients, states, eps: float = EPS) -> State:

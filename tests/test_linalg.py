@@ -285,6 +285,10 @@ class TestMembershipKernel:
         assert line.contains([1e-165, 0])
         assert not line.contains([1e-165, 1e-165])
 
+    def test_residual_at_the_bound_is_outside(self):
+        # membership is strict: [1, 1e-9] has residual exactly eps·|v| = 1e-9
+        assert not Subspace(2, [[1], [0]]).contains([1, 1e-9])
+
     def test_zero_residual_of_the_smallest_subnormal(self):
         # eps·|v| underflows to 0 at 5e-324; a residual of exactly 0 is in
         line = gram_schmidt([[5e-324, 0]])

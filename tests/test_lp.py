@@ -358,8 +358,14 @@ class TestRefusals:
         (lambda: equivalence_chain(["a", "a"]), LogicError),
         (lambda: eval3(lp.BinOp(Atom("p"), Atom("p")), {"p": TV.T}), TypeError),
         (lambda: satisfiable([lp.BinOp(Atom("p"), Atom("p"))]), TypeError),
+        (lambda: eval3("p", {}), TypeError),
+        (lambda: satisfiable(["p"]), TypeError),
+        (lambda: satisfiable([None]), TypeError),
+        (lambda: consequence([], "p"), TypeError),
     ], ids=["atom-empty", "mode-unknown", "postulate-no-labels",
-            "chain-duplicate-labels", "eval3-non-formula", "masks-non-formula"])
+            "chain-duplicate-labels", "eval3-non-formula", "masks-non-formula",
+            "eval3-string", "satisfiable-string", "satisfiable-none",
+            "consequence-string"])
     def test_refused_input_raises_its_type(self, make, error):
         # the CLI's choices hide the unknown mode; the library still refuses it
         with pytest.raises(error) as exc:

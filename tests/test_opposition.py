@@ -425,6 +425,17 @@ class TestMixedSubspaces:
         assert got is True
         assert np.allclose(w.state.vector, [R2, R2])
 
+    def test_state_in_none_of_five_lines(self):
+        # the lines through [1, 0], [0, 1] and [1, w^t], w = exp(2 pi i / 3),
+        # hold both basis columns and the moment curve at the 3 cube roots
+        # of unity; only a curve of more than k(d - 1) = 5 nodes is sure to
+        # leave them, so this pins the node count of _candidates
+        w3 = np.exp(2j * np.pi / 3)
+        lines = ([1, 0], [0, 1], [1, 1], [1, w3], [1, w3 ** 2])
+        p = Or(tuple(Literal(line(*v)) for v in lines))
+        got, w = can_both_be_false(p, p)
+        assert got is True and w.replay()
+
 
     def test_state_in_no_hyperplane_of_c16(self):
         # C holds e_0 and the first three points of the real moment curve
@@ -503,6 +514,14 @@ def meet_basis(subspaces, n):
     return vh[int(np.sum(sv > 1e-8)):].conj().T
 
 
+def holds(p, psi):
+    """Truth at a state, folded here rather than by the library's evaluator;
+    only leaf membership comes from Subspace.contains."""
+    if isinstance(p, Literal):
+        return p.subspace.contains(psi.vector) == p.asserted
+    return (all if isinstance(p, And) else any)([holds(part, psi) for part in p.parts])
+
+
 def realizable_pairs(p, q, rng):
     """Truth pairs seen at Haar-random states drawn inside every meet of
     the leaf subspaces: a random state of a meet lies in no further leaf
@@ -515,7 +534,7 @@ def realizable_pairs(p, q, rng):
         for _ in range(3 if basis.shape[1] else 0):
             z = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
             psi = State.normalized(basis @ z)
-            seen.add((truth(p, psi), truth(q, psi)))
+            seen.add((holds(p, psi), holds(q, psi)))
     return seen
 
 
@@ -595,8 +614,8 @@ def seeded_compound(subs, rng, depth=2):
 
 class TestCompoundOracleAgreement:
     def test_search_hits_are_decided_yes(self):
-        # the sampler evaluates And/Or through its own vectorized truth, apart
-        # from the pattern walk: wherever it finds a state, the exact answer is
+        # the sampler tests membership on its own, vectorized, apart from
+        # the pattern walk: wherever it finds a state, the exact answer is
         # yes, and every yes carries a witness that replays
         rng = np.random.default_rng(113)
         compound_hits = 0

@@ -294,8 +294,12 @@ class TestRefusals:
          DimensionMismatch),
         (lambda: superpose([], []), QuantumError),
         (lambda: truth("up_x", UP_X), TypeError),
+        # every part is evaluated: no literal's value short-circuits a stray part
+        (lambda: truth(And((lit(x_family(), "up_x"), "x")), UP_Z), TypeError),
+        (lambda: truth(Or((lit(x_family(), "up_x"), "x")), UP_X), TypeError),
     ], ids=["family-empty", "family-duplicate-labels", "family-mixed-ambient",
-            "superpose-empty", "truth-non-proposition"])
+            "superpose-empty", "truth-non-proposition", "truth-and-false-part",
+            "truth-or-true-part"])
     def test_refused_input_raises_its_type(self, make, error):
         with pytest.raises(error) as exc:
             make()
