@@ -7,12 +7,12 @@ a pattern I is realizable iff T_I, the meet of the S_i with i in I (the
 whole space when I is empty), holds a state that `contains` puts in no
 S_j with j outside I.  A complex space is never a finite union of proper
 subspaces, so a short deterministic search over T_I finds that state
-whenever T_I lies in no such S_j.  The four questions (can both be true?
-can both be false? does either entail the other?) are bit tests on int
-truth masks over the realizable patterns, which `quantum.evaluate` folds
-from the leaves' masks as `truth` does at one state.  Every positive
-answer carries its first pattern's witness, and the relation follows from
-the square-of-opposition taxonomy; a polygon's corners other than A and E
+whenever T_I lies in no such S_j.  `classify` decides a pair by bit tests
+on int truth masks over the realizable patterns, which `quantum.evaluate`
+folds from the leaves' masks as `truth` does at one state; each nonempty
+both-true or both-false mask gives its first pattern's witness.  The
+questions `can_both_be_true` and `can_both_be_false` read `classify`, and
+`entails` tests the masks itself.  A polygon's corners other than A and E
 take their masks by complement, since negation is set complement.  The
 walk visits each nonzero meet once: orthogonal leaves have few, while k
 generic hyperplanes have up to 2^k, so a decision is refused once it has
@@ -152,23 +152,19 @@ def _patterns(props, eps: float):
     return [evaluate(p, masks.get, (1 << len(states)) - 1) for p in props], states
 
 
-def _both(p, q, mask: int, value: bool, states: list):
-    """(True, witness at the walk's first pattern in mask), or (False, None)."""
-    if not mask:
-        return False, None
-    return True, Witness(states[(mask & -mask).bit_length() - 1], (p, q), (value, value))
-
-
 def _classify(p: Proposition, q: Proposition, tp: int, tq: int, states: list) -> Classification:
-    ct, wt = _both(p, q, tp & tq, True, states)
-    cf, wf = _both(p, q, ~(tp | tq) & ((1 << len(states)) - 1), False, states)
-    witnesses = {k: w for k, w in (("both_true", wt), ("both_false", wf))
-                 if w is not None}
-    if not ct and not cf:
+    # a witness per nonempty both-true or both-false mask: its first pattern's state
+    witnesses = {}
+    for key, mask, pair in (("both_true", tp & tq, (True, True)),
+                            ("both_false", ~(tp | tq) & ((1 << len(states)) - 1),
+                             (False, False))):
+        if mask:
+            witnesses[key] = Witness(states[(mask & -mask).bit_length() - 1], (p, q), pair)
+    if not witnesses:
         return Classification(Relation.CONTRADICTORY, witnesses=witnesses)
-    if not ct:
+    if "both_true" not in witnesses:
         return Classification(Relation.CONTRARY, witnesses=witnesses)
-    if not cf:
+    if "both_false" not in witnesses:
         return Classification(Relation.SUBCONTRARY, witnesses=witnesses)
     fwd = not tp & ~tq
     bwd = not tq & ~tp
@@ -213,14 +209,14 @@ def random_witness_search(props, pattern, seed: int,
 
 def can_both_be_true(p: Proposition, q: Proposition, eps: float = EPS):
     """(answer, witness): (True, a state making both true) or (False, None)."""
-    (tp, tq), states = _patterns((p, q), eps)
-    return _both(p, q, tp & tq, True, states)
+    w = classify(p, q, eps).witnesses.get("both_true")
+    return w is not None, w
 
 
 def can_both_be_false(p: Proposition, q: Proposition, eps: float = EPS):
     """(answer, witness): (True, a state making both false) or (False, None)."""
-    (tp, tq), states = _patterns((p, q), eps)
-    return _both(p, q, ~(tp | tq) & ((1 << len(states)) - 1), False, states)
+    w = classify(p, q, eps).witnesses.get("both_false")
+    return w is not None, w
 
 
 def entails(p: Proposition, q: Proposition, eps: float = EPS) -> bool:

@@ -164,6 +164,8 @@ Proposition = Literal | And | Or
 def leaves(p: Proposition):
     if isinstance(p, Literal):
         return [p]
+    if not isinstance(p, (And, Or)):
+        raise TypeError(f"not a proposition: {p!r}")
     out = []
     for part in p.parts:
         out.extend(leaves(part))
@@ -173,6 +175,8 @@ def leaves(p: Proposition):
 def ambient_dim_of(subspaces) -> int:
     """The ambient dimension that every subspace given shares."""
     dims = {s.ambient_dim for s in subspaces}
+    if not dims:
+        raise QuantumError("no leaf subspace, so no ambient dimension to decide in")
     if len(dims) != 1:
         raise DimensionMismatch(f"leaves mix ambient dimensions {sorted(dims)}")
     return dims.pop()

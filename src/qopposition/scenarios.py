@@ -31,6 +31,14 @@ class ScenarioError(ValueError):
     pass
 
 
+def _named(table: dict, kind: str, name):
+    """table[name], or a ScenarioError listing table's names; name may be a JSON list."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise ScenarioError(f"unknown {kind} {name!r} (have {sorted(table)})") from None
+
+
 @dataclass
 class Scenario:
     name: str
@@ -43,14 +51,10 @@ class Scenario:
     warnings: list = field(default_factory=list)
 
     def resolve_state(self, name: str) -> State:
-        if name not in self.states:
-            raise ScenarioError(f"unknown state {name!r} (have {sorted(self.states)})")
-        return self.states[name]
+        return _named(self.states, "state", name)
 
     def resolve_family(self, name: str) -> OrthoFamily:
-        if name not in self.families:
-            raise ScenarioError(f"unknown family {name!r} (have {sorted(self.families)})")
-        return self.families[name]
+        return _named(self.families, "family", name)
 
     def resolve_proposition(self, text: str) -> Proposition:
         """Resolve a proposition reference: a named proposition or a
@@ -59,9 +63,7 @@ class Scenario:
         negated = text.startswith("!")
         if negated:
             text = text[1:].strip()
-        if text in self.propositions:
-            p = self.propositions[text]
-        elif "." in text:
+        if "." in text and text not in self.propositions:
             fam_name, member = text.split(".", 1)
             fam = self.resolve_family(fam_name)
             if member not in fam:
@@ -69,8 +71,7 @@ class Scenario:
                     f"family {fam_name!r} has no member {member!r} (have {fam.labels})")
             p = Literal(fam.subspace(member), True, fam, member, member)
         else:
-            raise ScenarioError(
-                f"unknown proposition {text!r} (have {sorted(self.propositions)})")
+            p = _named(self.propositions, "proposition", text)
         return p.negate() if negated else p
 
 
@@ -344,9 +345,7 @@ def builtin(name: str) -> Scenario:
     """One of the bundled scenarios; see BUILTIN_NAMES.  Its document goes
     through JSON text, so every call returns fresh objects, and it is read
     at the default EPS."""
-    if name not in BUILTIN_NAMES:
-        raise ScenarioError(f"unknown builtin {name!r} (have {BUILTIN_NAMES})")
-    return load_scenario(json.dumps(dict(_BUILTINS[name], name=name)))
+    return load_scenario(json.dumps(dict(_named(_BUILTINS, "builtin", name), name=name)))
 
 
 # --- query execution ------------------------------------------------------
@@ -409,14 +408,11 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
             out["total"] = sum(weights.values())
         else:
             semantics = args.get("semantics", "minimal")
-            if semantics == "minimal":
-                attributed = minimal_attribution(psi, fam, eps)
-            elif semantics == "paraconsistent":
-                attributed = paraconsistent_attribution(psi, fam, eps)
-            else:
-                raise ScenarioError(f"unknown semantics {semantics!r}")
+            attribute = _named({"minimal": minimal_attribution,
+                                "paraconsistent": paraconsistent_attribution},
+                               "semantics", semantics)
             out["semantics"] = semantics
-            out["attributed"] = sorted(attributed)
+            out["attributed"] = sorted(attribute(psi, fam, eps))
             out["weights"] = weights
     elif op in ("lp_postulate", "lp_chain", "lp_check"):
         if op == "lp_check":

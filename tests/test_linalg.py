@@ -49,6 +49,13 @@ class TestGramSchmidt:
         with pytest.raises(ValueError):
             gram_schmidt([])
 
+    def test_nearly_parallel_vectors_come_out_orthonormal(self):
+        # [1, 1, 1] + 1e-8 e_i: one orthogonalization pass leaves the output
+        # about 1e-8 from orthonormal, past the constructor's 10*eps slack
+        s = gram_schmidt([np.ones(3) + 1e-8 * e for e in np.eye(3)])
+        assert s.dim == 3
+        assert np.max(np.abs(s.basis.conj().T @ s.basis - np.eye(3))) <= 10 * EPS
+
     def test_output_satisfies_subspace_invariants(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -418,10 +425,12 @@ class TestRefusals:
         (lambda: Subspace(17), ValueError),
         (lambda: Subspace(3, np.eye(2)), DimensionMismatch),
         (lambda: Subspace(2, np.ones((2, 3))), ValueError),
+        # a Gram deviation of 5e-8 lies between the 10*eps slack and 100*eps
+        (lambda: Subspace(2, [[math.sqrt(1 + 5e-8)], [0]]), ValueError),
         (lambda: gram_schmidt([[1, 0], [1, 0, 0]]), DimensionMismatch),
     ], ids=["vector-empty", "vector-17", "matrix-not-square", "matrix-17",
             "matrix-nan", "ambient-0", "ambient-17", "basis-height",
-            "basis-too-wide", "vectors-mixed-sizes"])
+            "basis-too-wide", "basis-not-orthonormal", "vectors-mixed-sizes"])
     def test_refused_input_raises_its_type(self, make, error):
         with pytest.raises(error) as exc:
             make()

@@ -12,8 +12,8 @@ from qopposition.opposition import (MEET_BUDGET, OppositionError, Relation,
                                     build_hexagon, build_square,
                                     can_both_be_false, can_both_be_true,
                                     classify, entails, random_witness_search)
-from qopposition.quantum import (And, Literal, Or, OrthoFamily, State, leaves,
-                                 truth, minimal_attribution)
+from qopposition.quantum import (And, Literal, Or, OrthoFamily, QuantumError, State,
+                                 leaves, truth, minimal_attribution)
 from qopposition.scenarios import BUILTIN_NAMES, builtin
 
 from helpers import (apply_unitary_literal, apply_unitary_subspace, haar_unitary,
@@ -341,6 +341,30 @@ class TestHexagon:
 def test_every_decision_checks_eps(u_x, d_x, decide, eps):
     with pytest.raises(ValueError, match="eps"):
         decide(u_x, d_x, eps)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("make, error", [
+        (lambda u: classify(u, "x"), TypeError),
+        (lambda u: classify(And((u, None)), u), TypeError),
+        (lambda u: entails("x", u), TypeError),
+        (lambda u: build_square(u, 3), TypeError),
+        (lambda u: random_witness_search(["x"], [True], 0), TypeError),
+        # a pair with no leaf has no ambient dimension to decide in
+        (lambda u: classify(Or(()), Or(())), QuantumError),
+        (lambda u: random_witness_search([], [], 0), QuantumError),
+    ], ids=["classify-non-proposition", "classify-and-none-part",
+            "entails-non-proposition", "square-non-proposition",
+            "search-non-proposition", "classify-no-leaf", "search-no-leaf"])
+    def test_refused_input_raises_its_type(self, u_x, make, error):
+        with pytest.raises(error) as exc:
+            make(u_x)
+        assert type(exc.value) is error
+        assert isinstance(exc.value, ValueError) == (error is not TypeError)
+
+    def test_one_leaf_is_enough_to_decide(self, u_x):
+        # And(()) holds everywhere, so it meets u_x and u_x can be false
+        assert classify(And(()), u_x).relation is Relation.SUBCONTRARY
 
 
 def generic_cell(props, pattern):

@@ -299,3 +299,20 @@ class TestRefusals:
         with pytest.raises(ScenarioError) as exc:
             load_scenario(json.dumps(doc))
         assert type(exc.value) is ScenarioError and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: builtin("nope"),
+         "unknown builtin 'nope' (have ['cat', 'double_slit', 'skewed', "
+         "'spin_half_x', 'three_level'])"),
+        (lambda: run_query(builtin("cat"), {"op": "attribute", "args": {
+            "state": "Phi", "family": "fate", "semantics": "modal"}}),
+         "unknown semantics 'modal' (have ['minimal', 'paraconsistent'])"),
+        # a query read from a file may hold any JSON value, a list included
+        (lambda: run_query(builtin("cat"), {"op": "attribute", "args": {
+            "state": "Phi", "family": "fate", "semantics": ["minimal"]}}),
+         "unknown semantics ['minimal'] (have ['minimal', 'paraconsistent'])"),
+    ], ids=["builtin-unknown", "semantics-unknown", "semantics-list"])
+    def test_unknown_name_lists_the_names_there_are(self, make, message):
+        with pytest.raises(ScenarioError) as exc:
+            make()
+        assert type(exc.value) is ScenarioError and str(exc.value) == message
