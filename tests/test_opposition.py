@@ -363,7 +363,7 @@ class TestRefusals:
         assert isinstance(exc.value, ValueError) == (error is not TypeError)
 
     def test_one_leaf_is_enough_to_decide(self, u_x):
-        # And(()) holds everywhere, so it meets u_x and u_x can be false
+        # And(()) holds at every state: both can be true, and never both false
         assert classify(And(()), u_x).relation is Relation.SUBCONTRARY
 
 
