@@ -8,8 +8,9 @@ enumeration of valuations in a fixed order (sorted atoms, F < (B) < T,
 last atom fastest).  A chunk of at most CHUNK_SIZE valuations fixes the
 leading atoms; each formula node is evaluated once per chunk as two integer
 bit masks, where it is designated and where it is at most B (Belnap 1977,
-Priest 1979).  Constraint sets with more than VALUATION_BUDGET valuations
-in the chosen mode are refused up front.
+Priest 1979).  Models are decoded in blocks of at most BLOCK_SIZE
+valuations, with the standard library only.  Constraint sets with more
+than VALUATION_BUDGET valuations in the chosen mode are refused up front.
 `eval3` is the reference semantics for a single valuation.
 """
 
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress, product, repeat
 
 # a full LP pass over 3^15 valuations (models of the 15-label equivalence
 # chain) takes about 0.05 s on a 2-core Xeon VM; each further atom triples it
@@ -144,8 +144,9 @@ def eval3(f: Formula, valuation: dict) -> TV:
 
 
 # the values of each mode in enumeration order, indexed by digit
-_VALUES = {CLASSICAL: np.array([TV.F, TV.T], dtype=object),
-           LP: np.array([TV.F, TV.B, TV.T], dtype=object)}
+_VALUES = {CLASSICAL: (TV.F, TV.T), LP: (TV.F, TV.B, TV.T)}
+# valuations per block at most when models are decoded
+BLOCK_SIZE = 1024
 
 
 def _masks(node: Formula, atom_masks: dict) -> tuple:
@@ -213,12 +214,23 @@ def _scan(premises, mode, conclusion=None):
 
 def _as_dicts(names, mode, start, ok) -> list:
     """The valuations start + i for the set bits i of ok, in enumeration
-    order, as dicts of TV members."""
+    order, as dicts of TV members.  In blocks of base^k valuations, base^k
+    dividing start, the leading atoms are fixed and the bits pick the
+    values of the last k from their product."""
     values = _VALUES[mode]
-    bits = np.frombuffer(ok.to_bytes((ok.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    index = start + np.flatnonzero(np.unpackbits(bits, bitorder="little"))
-    digits = index[:, None] // len(values) ** np.arange(len(names) - 1, -1, -1) % len(values)
-    return [dict(zip(names, row)) for row in values[digits].tolist()]
+    base, k = len(values), len(names)
+    while base ** k > BLOCK_SIZE or start % base ** k:
+        k -= 1
+    size, out = base ** k, []
+    while ok:
+        skip = (ok & -ok).bit_length() - 1  # to the block of the lowest set bit
+        skip -= skip % size
+        ok, start = ok >> skip, start + skip
+        fixed = [(values[start // base ** j % base],) for j in range(len(names) - 1, k - 1, -1)]
+        bits = format(ok & (1 << size) - 1, "b")[::-1].encode().replace(b"0", b"\0")
+        out += map(dict, map(zip, repeat(names), compress(product(*fixed, *[values] * k), bits)))
+        ok, start = ok >> size, start + size
+    return out
 
 
 def satisfiable(constraints, mode: str = LP) -> dict | None:

@@ -424,7 +424,9 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
         mode = args.get("mode", "lp")
         out["constraints"] = [str(f) for f in constraints]
         out["mode"] = mode
-        model = lp.satisfiable(constraints, mode)
+        # when models are asked for, their first is the one satisfiable finds
+        every = lp.models(constraints, mode) if args.get("models") else None
+        model = lp.satisfiable(constraints, mode) if every is None else next(iter(every), None)
         out["satisfiable"] = model is not None
         if model is not None:
             out["model"] = {k: str(v) for k, v in sorted(model.items())}
@@ -432,9 +434,8 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
             conclusion = lp.parse_formula(_ref(args, "conclude"))
             out["conclusion"] = str(conclusion)
             out["consequence"] = lp.consequence(constraints, conclusion, mode)
-        if args.get("models"):
-            out["models"] = [{k: str(v) for k, v in sorted(m.items())}
-                             for m in lp.models(constraints, mode)]
+        if every is not None:
+            out["models"] = [{k: str(v) for k, v in sorted(m.items())} for m in every]
     else:
         raise ScenarioError(f"unknown query op {op!r}")
     return out

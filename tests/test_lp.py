@@ -208,6 +208,30 @@ class TestOracle:
             assert consequence([], conclusion, mode) is all(
                 eval3(conclusion, v).designated for v in oracle([conclusion], mode))
 
+    # models are decoded in blocks of up to 1024 valuations: 7 LP atoms fill
+    # three 729-blocks, 11 classical atoms two 1024-blocks and 12 four, of
+    # which "a <-> b" and the first-or-last case leave the middle two empty;
+    # chunks of 1, 3 or 4 and 81 or 64 valuations are narrower than a block,
+    # and from the second chunk of 81 on, not aligned to a 729-block
+    @pytest.mark.parametrize("mode, n", [(LP, 7), (CLASSICAL, 11), (CLASSICAL, 12)])
+    def test_decode_across_blocks(self, monkeypatch, mode, n):
+        import random
+        rng = random.Random(n)
+        names = "abcdefghijkl"[:n]
+        every_atom = parse_formula(" | ".join(names) + " | !a")  # designated everywhere
+        cases = ["a | !a", "a <-> b", names[-1], " & ".join(names[1:]),
+                 " & ".join(names) + " | " + " & ".join("!" + x for x in names)]
+        for text in cases + [str(random_formula(rng, names, 4)) for _ in range(3)]:
+            constraints = [parse_formula(text), every_atom]
+            want = [v for v in oracle(constraints, mode)
+                    if all(eval3(f, v).designated for f in constraints)]
+            for chunk in (1, 7, 100, lp.CHUNK_SIZE):
+                monkeypatch.setattr(lp, "CHUNK_SIZE", chunk)
+                got = models(constraints, mode)
+                assert got == want, (text, chunk)
+                assert all(x is want[i][k] for i, m in enumerate(got) for k, x in m.items())
+                assert satisfiable(constraints, mode) == (want[0] if want else None)
+
 
 class TestBudgetScale:
     """The equivalence chain on 15 labels has 3^15 LP valuations, the whole

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qopposition import lp
 from qopposition.linalg import Subspace
 from qopposition.quantum import And, Literal, Or, OrthoFamily
 from qopposition.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError, builtin,
@@ -277,6 +278,21 @@ class TestQueries:
         assert "positions" not in hexagon and "positions" in full
         assert hexagon["relations"] == {k: r["relation"]
                                         for k, r in full["relations"].items()}
+
+    @pytest.mark.parametrize("mode", ["lp", "classical"])
+    def test_lp_models_give_the_model(self, monkeypatch, mode):
+        # with "models" the first model is taken from the models list, so
+        # the constraints are scanned once less; keys keep their order
+        args = {"labels": ["a", "b", "c"], "conclude": "p_a", "mode": mode}
+        plain = run_query(None, {"op": "lp_chain", "args": args})
+
+        def never(*_):
+            raise AssertionError("satisfiable was called")
+        monkeypatch.setattr(lp, "satisfiable", never)
+        full = run_query(None, {"op": "lp_chain", "args": {**args, "models": True}})
+        assert list(full) == [*plain, "models"]
+        assert all(full[k] == plain[k] for k in plain if k != "args")
+        assert full["models"][:1] == ([plain["model"]] if plain["satisfiable"] else [])
 
     def test_prob_sums_to_one(self):
         sc = builtin("three_level")
