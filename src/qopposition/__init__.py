@@ -1,33 +1,16 @@
 """Opposition relations between quantum propositions, the hexagon of
-opposition, and a paraconsistent (LP) propositional engine.  Submodules and
-their re-exported names load on first use, so LP use never imports numpy."""
+opposition, and a paraconsistent (LP) propositional engine."""
+
+from .linalg import EPS, Subspace, gram_schmidt, hermitian_eig
+from .quantum import (And, Literal, Observable, Or, OrthoFamily, State, born,
+                      family_from_observable, minimal_attribution,
+                      paraconsistent_attribution, superpose, truth)
+from .opposition import (Classification, Relation, Witness, build_hexagon,
+                         build_square, can_both_be_false, can_both_be_true,
+                         classify, entails)
+from .lp import (TV, Atom, Not, AndF, OrF, Imp, Iff, consequence,
+                 equivalence_chain, eval3, models, parse_formula,
+                 postulate_of_contradiction, satisfiable)
+from .scenarios import Scenario, builtin, load_scenario, serialize
 
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    "linalg": "EPS Subspace gram_schmidt hermitian_eig",
-    "quantum": "And Literal Observable Or OrthoFamily State born family_from_observable "
-               "minimal_attribution paraconsistent_attribution superpose truth",
-    "opposition": "Classification Relation Witness build_hexagon build_square "
-                  "can_both_be_false can_both_be_true classify entails",
-    "lp": "TV Atom Not AndF OrF Imp Iff consequence equivalence_chain eval3 models "
-          "parse_formula postulate_of_contradiction satisfiable",
-    "scenarios": "Scenario builtin load_scenario serialize",
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-__all__ = [*_EXPORTS, *_HOME]
-
-
-def __getattr__(name):
-    """Import a submodule, or a name it re-exports, and keep it in globals."""
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f"{__name__}.{_HOME.get(name, name)}")
-    globals()[name] = value = getattr(module, name) if name in _HOME else module
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__} - {"_EXPORTS", "_HOME", "__all__", "__getattr__",
-                                            "__dir__"})

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import compress, product, repeat
+from itertools import compress, product
 
 # a full LP pass over 3^15 valuations (models of the 15-label equivalence
 # chain) takes about 0.05 s on a 2-core Xeon VM; each further atom triples it
@@ -228,7 +228,7 @@ def _as_dicts(names, mode, start, ok) -> list:
         ok, start = ok >> skip, start + skip
         fixed = [(values[start // base ** j % base],) for j in range(len(names) - 1, k - 1, -1)]
         bits = format(ok & (1 << size) - 1, "b")[::-1].encode().replace(b"0", b"\0")
-        out += map(dict, map(zip, repeat(names), compress(product(*fixed, *[values] * k), bits)))
+        out += [dict(zip(names, row)) for row in compress(product(*fixed, *[values] * k), bits)]
         ok, start = ok >> size, start + size
     return out
 

@@ -426,7 +426,10 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
         out["mode"] = mode
         # when models are asked for, their first is the one satisfiable finds
         every = lp.models(constraints, mode) if args.get("models") else None
-        model = lp.satisfiable(constraints, mode) if every is None else next(iter(every), None)
+        if every is None:
+            model = lp.satisfiable(constraints, mode)
+        else:
+            model = every[0] if every else None
         out["satisfiable"] = model is not None
         if model is not None:
             out["model"] = {k: str(v) for k, v in sorted(model.items())}
