@@ -7,7 +7,8 @@ Each of classify, square, hexagon, prob, attribute and lp is one query:
 the subcommand builds a query dict from its arguments, runs it through
 `scenarios.run_query` (the executor `scenario run` uses too) and renders
 the result without its op/args echo.  Only loading the scenario,
-`classify --check-witness` and rendering happen here.
+`classify --check-witness` and rendering happen here.  A command imports
+only the library modules it runs: `qopp lp` loads no numpy.
 
 Output formats: text (default), json (canonical, byte-stable), dot
 (Graphviz, polygon commands only).  Exit codes: 0 ok, 1 UNSAT,
@@ -17,17 +18,13 @@ Output formats: text (default), json (canonical, byte-stable), dot
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
-import numpy as np
-
-from . import lp
-from .linalg import EPS, check_eps
-from .quantum import State, truth
-from .scenarios import (BUILTIN_NAMES, Scenario, builtin, canonical_json,
-                        load_scenario, run_all, run_query, serialize)
+from .scenarios import (BUILTIN_NAMES, EPS, Scenario, builtin, canonical_json,
+                        check_eps, load_scenario, run_all, run_query, serialize)
 
 SCHEMA_VERSION = 1
 
@@ -139,6 +136,7 @@ def polygon_dot(result: dict, title: str) -> str:
 
 def _check_witness(args, sc: Scenario) -> int:
     """Replay a claimed witness against the two propositions."""
+    from .quantum import State, truth
     p = sc.resolve_proposition(args.p)
     q = sc.resolve_proposition(args.q)
     raw = json.loads(args.check_witness)
@@ -286,11 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _lp_flags(p) -> None:
-    p.add_argument("--mode", choices=(lp.CLASSICAL, lp.LP), default=lp.LP)
+    # lp.CLASSICAL and lp.LP, spelled out so that parsing imports no lp
+    p.add_argument("--mode", choices=("classical", "lp"), default="lp")
     p.add_argument("--conclude", metavar="FORMULA",
                    help="also check this formula as a consequence")
     p.add_argument("--models", action="store_true",
                    help="list every designating valuation")
+
+
+def _quiet_overflow(args):
+    """np.errstate(over="ignore") for a command that loads a scenario, since
+    _norm's first sum overflows above ~1e154; the others need no numpy."""
+    if "scenario" not in args and "name" not in args:
+        return contextlib.nullcontext()
+    import numpy as np
+    return np.errstate(over="ignore")
 
 
 def main(argv=None) -> int:
@@ -301,7 +309,7 @@ def main(argv=None) -> int:
         # refused before anything is loaded or run
         if args.format == "dot" and getattr(args, "op", None) not in ("square", "hexagon"):
             raise CliError("dot output is only available for square/hexagon")
-        with np.errstate(over="ignore"):  # _norm's first sum overflows above ~1e154
+        with _quiet_overflow(args):
             status = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return status

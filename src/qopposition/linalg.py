@@ -16,7 +16,9 @@ import sys
 
 import numpy as np
 
-EPS = 1e-9
+# the tolerance lives with the numpy-free loader, so `qopp lp` reads it too
+from .scenarios import EPS, check_eps
+
 MAX_DIM = 16
 
 
@@ -30,12 +32,6 @@ class DimensionMismatch(LinalgError):
 
 class ConvergenceError(LinalgError):
     pass
-
-
-def check_eps(eps: float) -> float:
-    if not (0.0 < eps < 1e-3):
-        raise ValueError(f"eps must lie in (0, 1e-3), got {eps}")
-    return eps
 
 
 def as_vector(v) -> np.ndarray:

@@ -6,6 +6,10 @@ A scenario bundles named states, observables, orthogonal families,
 propositions, and queries into a reproducible unit.  Serialization is
 canonical (keys sorted, floats at 17 significant digits) so golden files
 are byte-stable.
+
+This module imports no numpy and no other library module when it is
+imported: each function imports the modules its path runs, so an LP query
+loads only `lp`.  It is also the home of the default tolerance EPS.
 """
 
 from __future__ import annotations
@@ -13,15 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from .quantum import OrthoFamily, Proposition, State
 
-from . import lp
-from .linalg import EPS, MAX_DIM, Subspace, _norm, gram_schmidt
-from .opposition import build_hexagon, build_square, classify
-from .quantum import (And, Literal, Observable, Or, OrthoFamily, Proposition,
-                      State, born, minimal_attribution,
-                      paraconsistent_attribution, superpose)
+EPS = 1e-9
 
 # and/or levels a proposition may nest.  The evaluators and the JSON writer
 # recurse; refusing deeper ones at load gives every command the same limit
@@ -29,6 +30,12 @@ MAX_NESTING = 100
 
 class ScenarioError(ValueError):
     pass
+
+
+def check_eps(eps: float) -> float:
+    if not (0.0 < eps < 1e-3):
+        raise ValueError(f"eps must lie in (0, 1e-3), got {eps}")
+    return eps
 
 
 def _named(table: dict, kind: str, name):
@@ -59,6 +66,7 @@ class Scenario:
     def resolve_proposition(self, text: str) -> Proposition:
         """Resolve a proposition reference: a named proposition or a
         family.member path, either with a leading '!' for negation."""
+        from .quantum import Literal
         text = text.strip()
         negated = text.startswith("!")
         if negated:
@@ -94,12 +102,13 @@ def canonical_json(obj) -> str:
 
 
 def _vec_out(v) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+    return [[x.real, x.imag] for x in map(complex, v)]
 
 
 def _prop_out(p: Proposition, fam_names: dict):
     """A proposition as the loader reads it; fam_names maps each of the
     scenario's families (hashed by identity) to its key."""
+    from .quantum import And, Literal
     if isinstance(p, Literal):
         if p.family not in fam_names or p.member is None:
             raise ScenarioError("only members of the scenario's families are serializable")
@@ -129,7 +138,7 @@ def serialize(sc: Scenario) -> str:
 
 # --- loading --------------------------------------------------------------
 
-def _vec_in(raw, dim: int, what: str) -> np.ndarray:
+def _vec_in(raw, dim: int, what: str) -> list:
     if not isinstance(raw, list) or len(raw) != dim:
         raise ScenarioError(f"{what}: expected {dim} components of [re, im]")
     comps = []
@@ -139,7 +148,7 @@ def _vec_in(raw, dim: int, what: str) -> np.ndarray:
                         for x in pair)):
             raise ScenarioError(f"{what}: components must be [re, im] pairs")
         comps.append(complex(float(pair[0]), float(pair[1])))
-    return np.array(comps, dtype=complex)
+    return comps
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -151,6 +160,10 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def load_scenario(text: str, eps: float = EPS) -> Scenario:
+    import numpy as np
+
+    from .linalg import MAX_DIM, Subspace, _norm, gram_schmidt
+    from .quantum import Literal, Observable, OrthoFamily, State
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -167,7 +180,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
     sc = Scenario(name=str(doc["name"]), dim=dim)
 
     for sname, raw in sorted(_section(doc, "states").items()):
-        v = _vec_in(raw, dim, f"state {sname!r}")
+        v = np.array(_vec_in(raw, dim, f"state {sname!r}"))
         n = _norm(v)
         if n == 0.0:
             raise ScenarioError(f"state {sname!r} is (near-)zero and cannot be normalized")
@@ -222,6 +235,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
 
 
 def _parse_prop(raw, sc: Scenario, pname: str, depth: int = 0) -> Proposition:
+    from .quantum import And, Or
     if isinstance(raw, str):
         try:
             return sc.resolve_proposition(raw)
@@ -323,9 +337,9 @@ _BUILTINS = {
     },
     "skewed": {
         "dim": 2,
-        "states": dict(_SPIN_STATES, skewed=_vec_out(superpose(
-            [2.0 / math.sqrt(7.0), math.sqrt(3.0 / 7.0)],
-            [State([_R, _R]), State([_R, -_R])]).vector)),
+        # superpose([2/sqrt(7), sqrt(3/7)], [up_x, down_x]), written out bit for bit
+        "states": dict(_SPIN_STATES,
+                       skewed=[[0.9974325337111245, 0.0], [0.07161243393857304, 0.0]]),
         "families": _X_FAMILY,
         "propositions": _X_PROPOSITIONS,
         "queries": [
@@ -385,11 +399,13 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
     out = {"op": op, "args": args}
 
     if op == "classify":
+        from .opposition import classify
         p_ref, q_ref = _ref(args, "p"), _ref(args, "q")
         c = classify(sc.resolve_proposition(p_ref), sc.resolve_proposition(q_ref), eps)
         out["relation"] = c.describe(p_ref, q_ref)
         out["witnesses"] = _witnesses_out(c)
     elif op in ("square", "hexagon"):
+        from .opposition import build_hexagon, build_square
         a = sc.resolve_proposition(_ref(args, "a"))
         e = sc.resolve_proposition(_ref(args, "e"))
         build = build_square if op == "square" else build_hexagon
@@ -400,6 +416,7 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
                             for (x, y), c in sorted(poly.relations.items())}
         out["deviations"] = [list(d) for d in poly.deviations]
     elif op in ("prob", "attribute"):
+        from .quantum import born, minimal_attribution, paraconsistent_attribution
         psi = sc.resolve_state(_ref(args, "state"))
         fam = sc.resolve_family(_ref(args, "family"))
         weights = {lab: born(psi, sub) for lab, sub in fam.members}
@@ -415,28 +432,30 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
             out["attributed"] = sorted(attribute(psi, fam, eps))
             out["weights"] = weights
     elif op in ("lp_postulate", "lp_chain", "lp_check"):
+        from .lp import (consequence, equivalence_chain, models, parse_formula,
+                         postulate_of_contradiction, satisfiable)
         if op == "lp_check":
-            constraints = [lp.parse_formula(f) for f in _strings(args, "constraints")]
+            constraints = [parse_formula(f) for f in _strings(args, "constraints")]
         else:
-            make = (lp.postulate_of_contradiction if op == "lp_postulate"
-                    else lp.equivalence_chain)
+            make = (postulate_of_contradiction if op == "lp_postulate"
+                    else equivalence_chain)
             constraints = make(_strings(args, "labels"))
         mode = args.get("mode", "lp")
         out["constraints"] = [str(f) for f in constraints]
         out["mode"] = mode
         # when models are asked for, their first is the one satisfiable finds
-        every = lp.models(constraints, mode) if args.get("models") else None
+        every = models(constraints, mode) if args.get("models") else None
         if every is None:
-            model = lp.satisfiable(constraints, mode)
+            model = satisfiable(constraints, mode)
         else:
             model = every[0] if every else None
         out["satisfiable"] = model is not None
         if model is not None:
             out["model"] = {k: str(v) for k, v in sorted(model.items())}
         if "conclude" in args:
-            conclusion = lp.parse_formula(_ref(args, "conclude"))
+            conclusion = parse_formula(_ref(args, "conclude"))
             out["conclusion"] = str(conclusion)
-            out["consequence"] = lp.consequence(constraints, conclusion, mode)
+            out["consequence"] = consequence(constraints, conclusion, mode)
         if every is not None:
             out["models"] = [{k: str(v) for k, v in sorted(m.items())} for m in every]
     else:

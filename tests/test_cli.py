@@ -1,11 +1,13 @@
 import io
 import json
 import os
+import subprocess
 import sys
 import warnings
 
 import pytest
 
+import qopposition
 from qopposition.cli import (EXIT_NOT_CONSEQUENCE, EXIT_OK, EXIT_PIPE, EXIT_UNSAT,
                              EXIT_USAGE, CliError, main)
 from qopposition.linalg import ConvergenceError, DimensionMismatch, LinalgError
@@ -518,6 +520,10 @@ class TestGlobalFlags:
         code, out, err = run(capsys, "--eps", "0.5",
                              "classify", "spin_half_x", "u_x", "d_x")
         assert code == EXIT_USAGE
+        # an LP command takes the same check without loading the linear algebra
+        code, out, err = run(capsys, "lp", "chain", "a", "b", "--eps", "0.5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: eps must lie in (0, 1e-3), got 0.5\n"
 
     def test_json_output_deterministic(self, capsys):
         argv = ("hexagon", "spin_half_x", "u_x", "d_x")
@@ -530,3 +536,105 @@ class TestGlobalFlags:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+# --- what an import loads ---------------------------------------------------
+
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this package; its stdout."""
+    src = os.path.dirname(os.path.dirname(qopposition.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImportLayering:
+    """A `qopp` command imports only the library modules it runs."""
+
+    @pytest.mark.parametrize("argv, loaded, absent", [
+        (["lp", "chain", "a", "b", "--format", "json"], {"qopposition.lp"},
+         {"numpy", "qopposition.linalg", "qopposition.quantum", "qopposition.opposition"}),
+        (["hexagon", "cat", "dead", "alive"], {"numpy", "qopposition.opposition"},
+         {"qopposition.lp"}),
+        (["scenario", "show", "cat", "--format", "json"], {"qopposition.quantum"},
+         {"qopposition.lp", "qopposition.opposition"}),
+    ], ids=["lp-chain", "hexagon", "scenario-show"])
+    def test_command_loads_only_what_it_runs(self, argv, loaded, absent):
+        out = _fresh_python("import runpy, sys\n"
+                            f"sys.argv = ['qopp', *{argv!r}]\n"
+                            "try:\n"
+                            "    runpy.run_module('qopposition.cli', run_name='__main__')\n"
+                            "except SystemExit as exc:\n"
+                            "    assert exc.code == 0, exc.code\n"
+                            "print(*sorted(sys.modules))\n")
+        modules = set(out.splitlines()[-1].split())
+        assert loaded <= modules
+        assert not absent & modules
+
+
+# every re-exported name, by the submodule that defines it
+_EXPORTS = {
+    "linalg": "EPS Subspace gram_schmidt hermitian_eig",
+    "quantum": "And Literal Observable Or OrthoFamily State born family_from_observable "
+               "minimal_attribution paraconsistent_attribution superpose truth",
+    "opposition": "Classification Relation Witness build_hexagon build_square "
+                  "can_both_be_false can_both_be_true classify entails",
+    "lp": "TV Atom Not AndF OrF Imp Iff consequence equivalence_chain eval3 models "
+          "parse_formula postulate_of_contradiction satisfiable",
+    "scenarios": "Scenario builtin load_scenario serialize",
+}
+
+
+class TestLazyPackage:
+    """`import qopposition` loads nothing; the first use of a library name
+    loads the whole library, as an eager package would have."""
+
+    def _run(self, body: str) -> str:
+        return _fresh_python(f"""\
+import importlib, sys
+EXPORTS = {_EXPORTS!r}
+MODULES = list(EXPORTS)
+
+def fresh():
+    for m in [m for m in sys.modules if m.split(".")[0] == "qopposition"]:
+        del sys.modules[m]
+    return importlib.import_module("qopposition")
+
+def loaded():
+    return [m for m in MODULES if "qopposition." + m in sys.modules]
+{body}""")
+
+    def test_import_loads_no_submodule(self):
+        out = self._run("import qopposition\n"
+                        "print(*sorted(m for m in sys.modules if m.startswith('qopposition.')))\n"
+                        "print('numpy' in sys.modules)\n")
+        assert out == "\nFalse\n"
+
+    def test_first_use_of_any_name_loads_the_library(self):
+        self._run("""
+names = [n for m in MODULES for n in EXPORTS[m].split()]
+assert len(names) == 43 and sorted(fresh().__all__) == sorted(names)
+# one name per submodule, and each submodule: every name takes the same
+# path, and the `is` checks below reach each one
+for name in [EXPORTS[m].split()[-1] for m in MODULES] + MODULES:
+    q = fresh()
+    getattr(q, name)
+    assert loaded() == MODULES, (name, loaded())
+q = fresh()
+for m in MODULES:
+    for name in EXPORTS[m].split():
+        assert getattr(q, name) is getattr(sys.modules["qopposition." + m], name), name
+""")
+
+    def test_other_names_load_nothing(self):
+        # perfbench's tracer relies on `cli` reading None until it is imported
+        self._run("""
+q = fresh()
+assert getattr(q, "cli", None) is None and getattr(q, "nope", None) is None
+assert loaded() == []
+q.classify
+assert getattr(q, "cli", None) is None
+import qopposition.cli
+assert q.cli is sys.modules["qopposition.cli"]
+""")

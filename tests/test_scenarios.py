@@ -6,7 +6,7 @@ import pytest
 
 from qopposition import lp
 from qopposition.linalg import Subspace
-from qopposition.quantum import And, Literal, Or, OrthoFamily
+from qopposition.quantum import And, Literal, Or, OrthoFamily, State, superpose
 from qopposition.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError, builtin,
                                    canonical_json, load_scenario, run_all,
                                    run_query, serialize)
@@ -63,6 +63,15 @@ class TestBuiltins:
         out = run_query(sc, sc.queries[0])
         assert out["probabilities"]["up_x"] == pytest.approx(4.0 / 7.0, abs=1e-12)
         assert out["probabilities"]["down_x"] == pytest.approx(3.0 / 7.0, abs=1e-12)
+
+    def test_skewed_state_is_the_superposition_bit_for_bit(self):
+        # the builtin writes the state out as numbers, so that loading the
+        # scenarios imports no numpy; they must be superpose's own bits
+        r = 1.0 / math.sqrt(2.0)
+        want = superpose([2.0 / math.sqrt(7.0), math.sqrt(3.0 / 7.0)],
+                         [State([r, r]), State([r, -r])])
+        got = builtin("skewed").states["skewed"]
+        assert got.vector.tobytes() == want.vector.tobytes()
 
     def test_skewed_attribution_ignores_weights(self):
         sc = builtin("skewed")
