@@ -9,8 +9,9 @@ last atom fastest).  A chunk of at most CHUNK_SIZE valuations fixes the
 leading atoms; each formula node is evaluated once per chunk as two integer
 bit masks, where it is designated and where it is at most B (Belnap 1977,
 Priest 1979).  Models are decoded in blocks of at most BLOCK_SIZE
-valuations, with the standard library only.  Constraint sets with more
-than VALUATION_BUDGET valuations in the chosen mode are refused up front.
+valuations, each one a dict built from a row of (name, value) pairs, with
+the standard library only.  Constraint sets with more than
+VALUATION_BUDGET valuations in the chosen mode are refused up front.
 `eval3` is the reference semantics for a single valuation.
 """
 
@@ -170,10 +171,11 @@ def _masks(node: Formula, atom_masks: dict) -> tuple:
 
 def _scan(premises, mode, conclusion=None):
     """Every valuation over the sorted atoms of the premises (and the
-    conclusion), in enumeration order, as chunks (names, start, ok): a
+    conclusion), in enumeration order, as chunks (columns, start, ok): a
     chunk holds the valuations start, start + 1, ... of the order, and bit
     i of the integer ok is set where valuation start + i designates every
-    premise and, when a conclusion is given, leaves it at F."""
+    premise and, when a conclusion is given, leaves it at F; columns holds
+    each sorted atom's (name, value) pairs in value order."""
     if mode not in MODES:
         raise LogicError(f"unknown mode {mode!r} (expected one of {MODES})")
     premises = list(premises)
@@ -182,6 +184,7 @@ def _scan(premises, mode, conclusion=None):
     if base ** len(names) > VALUATION_BUDGET:
         raise LogicError(f"{len(names)} atoms give {base ** len(names)} valuations in {mode} "
                          f"mode, over the enumeration budget of {VALUATION_BUDGET}")
+    columns = [[(name, v) for v in _VALUES[mode]] for name in names]
     fast = 0
     while fast < len(names) and base ** (fast + 1) <= CHUNK_SIZE:
         fast += 1
@@ -209,16 +212,15 @@ def _scan(premises, mode, conclusion=None):
                 ok &= _masks(f, atom_masks)[0]
         if ok and conclusion is not None:
             ok &= ~_masks(conclusion, atom_masks)[0]
-        yield names, start, ok
+        yield columns, start, ok
 
 
-def _as_dicts(names, mode, start, ok) -> list:
+def _as_dicts(columns, mode, start, ok) -> list:
     """The valuations start + i for the set bits i of ok, in enumeration
     order, as dicts of TV members.  In blocks of base^k valuations, base^k
-    dividing start, the leading atoms are fixed and the bits pick the
-    values of the last k from their product."""
-    values = _VALUES[mode]
-    base, k = len(values), len(names)
+    dividing start, the leading atoms' (name, value) pairs are fixed and the
+    bits pick each model's items out of the product of the last k columns."""
+    base, k = len(_VALUES[mode]), len(columns)
     while base ** k > BLOCK_SIZE or start % base ** k:
         k -= 1
     size, out = base ** k, []
@@ -226,9 +228,10 @@ def _as_dicts(names, mode, start, ok) -> list:
         skip = (ok & -ok).bit_length() - 1  # to the block of the lowest set bit
         skip -= skip % size
         ok, start = ok >> skip, start + skip
-        fixed = [(values[start // base ** j % base],) for j in range(len(names) - 1, k - 1, -1)]
+        fixed = [(col[start // base ** j % base],)
+                 for col, j in zip(columns, range(len(columns) - 1, k - 1, -1))]
         bits = format(ok & (1 << size) - 1, "b")[::-1].encode().replace(b"0", b"\0")
-        out += [dict(zip(names, row)) for row in compress(product(*fixed, *[values] * k), bits)]
+        out += map(dict, compress(product(*fixed, *columns[len(columns) - k:]), bits))
         ok, start = ok >> size, start + size
     return out
 
@@ -236,16 +239,16 @@ def _as_dicts(names, mode, start, ok) -> list:
 def satisfiable(constraints, mode: str = LP) -> dict | None:
     """First valuation (in enumeration order) designating every constraint,
     or None."""
-    for names, start, ok in _scan(constraints, mode):
+    for columns, start, ok in _scan(constraints, mode):
         if ok:
-            return _as_dicts(names, mode, start, ok & -ok)[0]
+            return _as_dicts(columns, mode, start, ok & -ok)[0]
     return None
 
 
 def models(constraints, mode: str = LP) -> list:
     """All valuations designating every constraint, in enumeration order."""
-    return [v for names, start, ok in _scan(constraints, mode) if ok
-            for v in _as_dicts(names, mode, start, ok)]
+    return [v for columns, start, ok in _scan(constraints, mode) if ok
+            for v in _as_dicts(columns, mode, start, ok)]
 
 
 def consequence(premises, conclusion: Formula, mode: str = LP) -> bool:

@@ -152,6 +152,13 @@ def _lp_commands() -> list:
                          "--mode", mode, "--format", fmt, "--models"])
             for bad in FORMULAS_BAD:
                 cmds.append(["lp", "check", "-c", bad, "--mode", mode, "--format", fmt])
+    # models across decode blocks: the 57 LP models of a 7-label chain fall
+    # in all three 729-blocks, and the 3 classical models over 11 atoms in
+    # both 1024-blocks
+    for fmt in FORMATS:
+        cmds.append(["lp", "chain", *"abcdefg", "--format", fmt, "--models"])
+        cmds.append(["lp", "check", "-c", " & ".join("bcdefghij"), "-c", "a | k",
+                     "--mode", "classical", "--format", fmt, "--models"])
     cmds += [["lp", "postulate", "s1", "s1"], ["lp", "chain", "a"],
              ["lp", "check", "-c", "p", "--mode", "fuzzy"],
              ["lp", "postulate"],

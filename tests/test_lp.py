@@ -232,8 +232,13 @@ class TestOracle:
                 monkeypatch.setattr(lp, "CHUNK_SIZE", chunk)
                 got = models(constraints, mode)
                 assert got == want, (text, chunk)
+                assert all(list(m) == sorted(names) for m in got)
                 assert all(x is want[i][k] for i, m in enumerate(got) for k, x in m.items())
                 assert satisfiable(constraints, mode) == (want[0] if want else None)
+                # each model is a dict of its own, built afresh by each call
+                if got:
+                    got[0].clear()
+                    assert got[1:] == want[1:] and models(constraints, mode) == want
 
 
 class TestBudgetScale:
