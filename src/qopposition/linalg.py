@@ -6,7 +6,7 @@ Intersections and orthocomplements come from singular value
 decompositions.  Every membership decision, the meet's included, is the
 `contains` residual test at one eps; the single global default is EPS.
 Inputs are validated once, at the public boundary; the meet and the
-opposition walk share its kernel.  Values are immutable, functions pure.
+opposition walk share its kernel.  Subspaces are immutable values, functions pure.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ class Subspace:
         if basis.shape[1] > ambient_dim:
             raise ValueError("basis has more vectors than the ambient dimension")
         self._bh = basis.conj().T
-        gram = self._bh @ basis
-        if basis.shape[1] and not np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 10 * eps:
+        if basis.shape[1] and not np.max(
+                np.abs(self._bh @ basis - np.eye(basis.shape[1]))) <= 10 * eps:
             raise ValueError("basis is not orthonormal within tolerance")
         self.ambient_dim = int(ambient_dim)
         self.basis = basis

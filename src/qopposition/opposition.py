@@ -54,7 +54,7 @@ class Relation(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Witness:
     """A concrete state realizing a truth-value pattern on some propositions."""
     state: State
@@ -66,7 +66,7 @@ class Witness:
                    for p, want in zip(self.props, self.pattern))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Classification:
     relation: Relation
     # for SUBALTERN: "forward" means the first argument entails the second
@@ -155,19 +155,19 @@ def _patterns(props, eps: float):
 def _classify(p: Proposition, q: Proposition, tp: int, tq: int, states: list) -> Classification:
     # a witness per nonempty both-true or both-false mask: its first pattern's state
     witnesses = {}
-    for key, mask, pair in (("both_true", tp & tq, (True, True)),
-                            ("both_false", ~(tp | tq) & ((1 << len(states)) - 1),
-                             (False, False))):
-        if mask:
-            witnesses[key] = Witness(states[(mask & -mask).bit_length() - 1], (p, q), pair)
+    if mask := tp & tq:
+        witnesses["both_true"] = Witness(
+            states[(mask & -mask).bit_length() - 1], (p, q), (True, True))
+    if mask := ~(tp | tq) & ((1 << len(states)) - 1):
+        witnesses["both_false"] = Witness(
+            states[(mask & -mask).bit_length() - 1], (p, q), (False, False))
     if not witnesses:
         return Classification(Relation.CONTRADICTORY, witnesses=witnesses)
     if "both_true" not in witnesses:
         return Classification(Relation.CONTRARY, witnesses=witnesses)
     if "both_false" not in witnesses:
         return Classification(Relation.SUBCONTRARY, witnesses=witnesses)
-    fwd = not tp & ~tq
-    bwd = not tq & ~tp
+    fwd, bwd = not tp & ~tq, not tq & ~tp
     if fwd and bwd:
         return Classification(Relation.EQUIVALENT, witnesses=witnesses)
     if fwd:
@@ -255,7 +255,7 @@ HEXAGON_PATTERN = {
 SQUARE_PATTERN = {k: v for k, v in HEXAGON_PATTERN.items() if not {"U", "Y"} & set(k)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Polygon:
     """A square or hexagon of opposition: named positions plus the
     classification of every unordered pair, and any deviations from the

@@ -414,6 +414,40 @@ class TestMeetCertificate:
                 assert a.intersect(b).is_zero() and b.intersect(a).is_zero()
 
 
+class TestZeroSubspace:
+    """The constructor's path for a basis with no columns: it skips the Gram
+    check but keeps every other one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    @pytest.mark.parametrize("make", [lambda n: Subspace(n, np.zeros((n, 0))),
+                                      Subspace.zero, Subspace],
+                             ids=["zeros-basis", "zero", "no-basis"])
+    def test_empty_basis_is_the_zero_subspace(self, make, n):
+        s = make(n)
+        assert s.ambient_dim == n and s.dim == 0 and s.is_zero()
+        assert s.basis.shape == (n, 0) and s.basis.dtype == complex
+        assert not s.basis.flags.writeable
+        assert not s.contains(np.ones(n))
+        assert s.is_subset(Subspace.full(n)) and Subspace.full(n).intersect(s).is_zero()
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, math.nan])
+    @pytest.mark.parametrize("make", [lambda eps: Subspace(2, np.zeros((2, 0)), eps),
+                                      lambda eps: Subspace(2, None, eps)],
+                             ids=["zeros-basis", "no-basis"])
+    def test_bad_eps_refused(self, make, eps):
+        with pytest.raises(ValueError, match="eps"):
+            make(eps)
+
+    @pytest.mark.parametrize("n", [0, -1, 17])
+    @pytest.mark.parametrize("make", [lambda n: Subspace(n, np.zeros((max(n, 0), 0))),
+                                      Subspace.zero],
+                             ids=["zeros-basis", "zero"])
+    def test_bad_ambient_dimension_refused(self, make, n):
+        with pytest.raises(ValueError, match="ambient_dim") as exc:
+            make(n)
+        assert type(exc.value) is ValueError
+
+
 class TestRefusals:
     @pytest.mark.parametrize("make, error", [
         (lambda: as_vector([]), ValueError),

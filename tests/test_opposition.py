@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from qopposition.linalg import EPS, DimensionMismatch, Subspace, gram_schmidt
 from qopposition import opposition
-from qopposition.opposition import (MEET_BUDGET, OppositionError, Relation,
-                                    build_hexagon, build_square,
+from qopposition.opposition import (MEET_BUDGET, Classification, OppositionError,
+                                    Polygon, Relation, Witness, build_hexagon, build_square,
                                     can_both_be_false, can_both_be_true,
                                     classify, entails, random_witness_search)
 from qopposition.quantum import (And, Literal, Or, OrthoFamily, QuantumError, State,
@@ -335,6 +336,59 @@ class TestHexagon:
             self.assert_hexagon_is_classify(a, e)
 
 
+class TestRecords:
+    """Witness, Classification and Polygon are slotted dataclasses: they take
+    no new attribute, and keep their fields, equality and repr."""
+
+    def test_constructor_signatures(self, u_x, d_x):
+        assert [f.name for f in fields(Witness)] == ["state", "props", "pattern"]
+        assert [f.name for f in fields(Classification)] == ["relation", "direction",
+                                                             "witnesses"]
+        assert [f.name for f in fields(Polygon)] == ["positions", "relations", "deviations"]
+        c = Classification(Relation.CONTRARY)
+        assert c.direction is None and c.witnesses == {}
+        assert Classification(Relation.CONTRARY).witnesses is not c.witnesses
+        assert repr(c) == ("Classification(relation=<Relation.CONTRARY: 'Contrary'>, "
+                           "direction=None, witnesses={})")
+        w = Witness(State([1, 0]), (u_x, d_x), (False, False))
+        assert Witness(state=w.state, props=w.props, pattern=w.pattern) == w
+        s = Classification(Relation.SUBALTERN, "forward", {"both_true": w})
+        assert (s.direction, s.witnesses) == ("forward", {"both_true": w})
+        assert s.describe("A", "I") == "Subaltern (A -> I)"
+        poly = Polygon({"A": u_x}, {("A", "E"): c}, ())
+        assert (poly.positions, poly.relations, poly.deviations) == (
+            {"A": u_x}, {("A", "E"): c}, ())
+
+    def test_classification_equality_ignores_witnesses(self, u_x, d_x):
+        c = classify(u_x, d_x)
+        assert c.witnesses and c == Classification(Relation.CONTRARY)
+        assert c != Classification(Relation.SUBCONTRARY)
+        assert (Classification(Relation.SUBALTERN, "forward")
+                != Classification(Relation.SUBALTERN, "backward"))
+
+    def test_no_new_attribute(self, u_x, d_x):
+        hx = build_hexagon(u_x, d_x)
+        c = hx.relations[("A", "E")]
+        for record in (c.witnesses["both_false"], c, hx):
+            with pytest.raises(AttributeError):
+                record.note = "unknown field"
+            assert not hasattr(record, "__dict__")
+
+    def test_hexagon_witnesses_replay(self, u_x, d_x):
+        hx = build_hexagon(u_x, d_x)
+        count = 0
+        for (x, y), c in hx.relations.items():
+            for key, w in c.witnesses.items():
+                assert w.props == (hx.positions[x], hx.positions[y])
+                assert w.pattern == {"both_true": (True, True), "both_false": (False, False)}[key]
+                assert w.replay()
+                assert not Witness(w.state, w.props, tuple(not b for b in w.pattern)).replay()
+                count += 1
+        # three Contrary and three Subcontrary pairs hold one witness each,
+        # six Subaltern pairs two, three Contradictory pairs none
+        assert count == 18
+
+
 @pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, 0.5, math.nan])
 @pytest.mark.parametrize("decide", [classify, can_both_be_true, can_both_be_false,
                                     entails, build_square, build_hexagon])
@@ -365,6 +419,19 @@ class TestRefusals:
     def test_one_leaf_is_enough_to_decide(self, u_x):
         # And(()) holds at every state: both can be true, and never both false
         assert classify(And(()), u_x).relation is Relation.SUBCONTRARY
+
+
+@pytest.mark.xfail(strict=True, raises=QuantumError, reason=(
+    "the constructor's 10*eps Gram slack admits a basis column of norm "
+    "1 + 4.5e-9, which the walk's membership test rejects in its own leaf "
+    "and State() then refuses (ROADMAP item 12)"))
+def test_family_column_at_the_gram_slack_is_decided():
+    a = Subspace(2, [[math.sqrt(1 + 9e-9)], [0]])
+    b = Subspace(2, [[0], [1]])
+    fam = OrthoFamily(2, [("a", a), ("b", b)])
+    c = classify(lit(fam, "a"), lit(fam, "b"))
+    assert c.relation is Relation.CONTRARY
+    assert all(w.replay() for w in c.witnesses.values())
 
 
 def generic_cell(props, pattern):
