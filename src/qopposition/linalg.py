@@ -3,10 +3,10 @@ eigensolver for Hermitian matrices, and the subspace calculus
 (membership, containment, intersection, orthocomplement).
 
 Intersections and orthocomplements come from singular value
-decompositions.  Every membership decision, the meet's included, is the
-`contains` residual test at one eps; the single global default is EPS.
-Inputs are validated once, at the public boundary; the meet and the
-opposition walk share its kernel.  Subspaces are immutable values, functions pure.
+decompositions.  Every membership decision is one kernel: the squared
+residual against eps^2 |v|^2 at one eps (the global default is EPS).
+`contains` validates and rescales its input, and the meet, `is_subset` and
+the opposition walk pass it unit vectors.  Subspaces immutable, functions pure.
 """
 
 from __future__ import annotations
@@ -124,9 +124,7 @@ class Subspace:
         check_eps(eps)
         if not (1 <= ambient_dim <= MAX_DIM):
             raise ValueError(f"ambient_dim must be in 1..{MAX_DIM}")
-        if basis is None or (hasattr(basis, "size") and basis.size == 0):
-            basis = np.zeros((ambient_dim, 0), dtype=complex)
-        basis = np.asarray(basis, dtype=complex)
+        basis = np.asarray(np.zeros((ambient_dim, 0)) if basis is None else basis, complex)
         if basis.ndim != 2 or basis.shape[0] != ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {basis.shape} incompatible with ambient dim {ambient_dim}")
@@ -157,23 +155,33 @@ class Subspace:
 
     def contains(self, v, eps: float = EPS) -> bool:
         """Membership: residual of v against the subspace below eps*|v| (or
-        0 where that underflows), at every scale; the zero vector is refused."""
+        exactly 0), at every scale: where max |v_i| (at most the largest double)
+        lies outside 2^(+-280), v is first scaled into [1/2, 1) by two exact
+        powers of two, as 2^1073 overflows.  The zero vector is refused."""
         check_eps(eps)
         v = as_vector(v)
-        if _norm(v) == 0.0:
+        m = float(np.max(np.abs(v)))
+        if m == 0.0:
             raise ValueError("membership is undefined for the zero vector")
         if v.size != self.ambient_dim:
             raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")
-        return self._contains(v, eps)
+        if not 2.0 ** -280 < m < 2.0 ** 280:
+            h = -math.frexp(min(m, sys.float_info.max))[1]
+            v = v * 2.0 ** (h // 2) * 2.0 ** (h - h // 2)
+        return self._contains(v, eps * eps * float(np.vdot(v, v).real))
 
-    def _contains(self, v: np.ndarray, eps: float) -> bool:
-        """The membership kernel: v finite, nonzero, of the ambient size; eps checked."""
-        return (r := _norm(v - self.basis @ (self._bh @ v))) < eps * _norm(v) or r == 0.0
+    def _contains(self, v: np.ndarray, bound: float) -> bool:
+        """The membership kernel: |v - B B^H v|^2 below bound = eps^2 |v|^2, or 0;
+        v finite, nonzero, of the ambient size, its squares neither under- nor overflowing."""
+        r = v - self.basis.dot(self._bh.dot(v))
+        q = float(np.vdot(r, r).real)
+        return q < bound or q == 0.0
 
     def is_subset(self, other: "Subspace", eps: float = EPS) -> bool:
         check_eps(eps)
         self._check_ambient(other)
-        return all(other._contains(self.basis[:, i], eps) for i in range(self.dim))
+        return all(other._contains(c, eps * eps * float(np.vdot(c, c).real))
+                   for c in self.basis.T)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -202,7 +210,7 @@ class Subspace:
         check_eps(eps)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient_dim)
-        cross = other._bh @ self.basis
+        cross = other._bh.dot(self.basis)
         limit = 1.0 - max(400.0 * eps, 1e-4)
         if (np.vdot(cross, cross).real <= limit
                 or np.linalg.svd(cross, compute_uv=False)[0] ** 2 <= limit):
@@ -211,7 +219,8 @@ class Subspace:
         residual = a.basis - b.basis @ (b._bh @ a.basis)
         _, _, vh = np.linalg.svd(residual, full_matrices=False)
         dirs = a.basis @ vh[::-1].conj().T
-        keep = [i for i in range(dirs.shape[1]) if b._contains(dirs[:, i], eps)]
+        keep = [i for i, d in enumerate(dirs.T)
+                if b._contains(d, eps * eps * float(np.vdot(d, d).real))]
         return Subspace(self.ambient_dim, dirs[:, keep], eps)
 
     def orthocomplement(self, eps: float = EPS) -> "Subspace":

@@ -175,7 +175,8 @@ def _scan(premises, mode, conclusion=None):
     chunk holds the valuations start, start + 1, ... of the order, and bit
     i of the integer ok is set where valuation start + i designates every
     premise and, when a conclusion is given, leaves it at F; columns holds
-    each sorted atom's (name, value) pairs in value order."""
+    each sorted atom's (name, value) pairs in value order, or is None with a
+    conclusion, since a consequence decodes no valuation."""
     if mode not in MODES:
         raise LogicError(f"unknown mode {mode!r} (expected one of {MODES})")
     premises = list(premises)
@@ -184,7 +185,8 @@ def _scan(premises, mode, conclusion=None):
     if base ** len(names) > VALUATION_BUDGET:
         raise LogicError(f"{len(names)} atoms give {base ** len(names)} valuations in {mode} "
                          f"mode, over the enumeration budget of {VALUATION_BUDGET}")
-    columns = [[(name, v) for v in _VALUES[mode]] for name in names]
+    columns = None if conclusion is not None else [
+        [(name, v) for v in _VALUES[mode]] for name in names]
     fast = 0
     while fast < len(names) and base ** (fast + 1) <= CHUNK_SIZE:
         fast += 1

@@ -138,7 +138,11 @@ def _patterns(props, eps: float):
                 f"meets (the meet budget); deciding visits each of them")
         basis = whole if meet is None else meet.basis
         for v in _candidates(basis, len(subs)):
-            if all(sub._contains(v, eps) == (sub in inside) for sub in subs):
+            bound = eps * eps * float(np.vdot(v, v).real)
+            for sub in subs:
+                if sub._contains(v, bound) != (sub in inside):
+                    break
+            else:
                 for sub in inside:
                     masks[sub] |= 1 << len(states)
                 states.append(State(v, eps))

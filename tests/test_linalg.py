@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,9 +276,9 @@ class TestSubspaceCalculus:
 
 class TestMembershipKernel:
     def test_norm_is_numpys_bit_for_bit(self):
-        # the walk and the meet decide membership with _norm; it must give
-        # np.linalg.norm's exact value, on contiguous vectors and on the
-        # strided column views that Subspace.intersect passes
+        # State, _unit, superpose, born, gram_schmidt and the loader take
+        # norms with _norm; it must give np.linalg.norm's exact value, on
+        # contiguous vectors and on strided column views
         rng = np.random.default_rng(41)
         for n in range(1, 17):
             for scale in 10.0 ** np.arange(-150, 151, 25):
@@ -287,7 +288,7 @@ class TestMembershipKernel:
                         assert _norm(v) == float(np.linalg.norm(v))
 
     def test_tiny_member_of_a_line(self):
-        # 1e-165 squared underflows to zero; the rescaled norm does not
+        # 1e-165 squared underflows to zero; contains rescales v first
         line = gram_schmidt([[1, 0]])
         assert line.contains([1e-165, 0])
         assert not line.contains([1e-165, 1e-165])
@@ -297,15 +298,18 @@ class TestMembershipKernel:
         assert not Subspace(2, [[1], [0]]).contains([1, 1e-9])
 
     def test_zero_residual_of_the_smallest_subnormal(self):
-        # eps·|v| underflows to 0 at 5e-324; a residual of exactly 0 is in
+        # contains scales 5e-324 up into [1/2, 1); the bound eps^2 |v|^2 then
+        # underflows to 0 only for eps below about 1e-162, and there a
+        # residual of exactly 0 is still in
         line = gram_schmidt([[5e-324, 0]])
         assert line.contains([5e-324, 0])
         assert not line.contains([5e-324, 5e-324])
+        assert line.contains([1, 0], eps=1e-200) and line.contains([5e-324, 0], eps=1e-200)
+        assert not line.contains([1, 1e-150], eps=1e-200)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_membership_is_scale_free(self):
-        # the plain sum of squares overflows above about 1e154 (numpy warns)
-        # and underflows below about 1e-154; _norm rescales only there
+        # squares overflow above about 1e154 and underflow below about
+        # 1e-154; contains rescales v by a power of two outside 2^(+-280)
         rng = np.random.default_rng(43)
         scales = 10.0 ** np.arange(-300, 301, 20)
         for n, k in ((2, 1), (5, 2), (16, 7)):
@@ -316,6 +320,57 @@ class TestMembershipKernel:
                 assert s.contains(v) == want
                 for c in scales:
                     assert s.contains(c * v) == want, (n, k, c)
+
+    def test_membership_at_every_power_of_two(self):
+        # integer components scale by 2^k exactly, from the subnormal end
+        # (multiples of 2^-1074) to where the largest part would overflow
+        a, b = np.array([1, 2j, 0, 3]), np.array([0, 1, 1 - 1j, 0])
+        w = np.array([3, 0, 0, -1])  # orthogonal to a and b
+        s = gram_schmidt([a, b])
+        # relative offsets along w: 0, 7e-13, 7e-10, 1.4e-9, 7e-7; then generic
+        cases = [(2 ** 40 * (a + b) + j * w, j < 2000) for j in (0, 1, 1000, 2000, 10 ** 6)]
+        cases.append((a + w, False))
+        for v, want in cases:
+            assert s.contains(v) == want
+            top = 1025 - math.frexp(float(np.max(np.abs(v.view(float)))))[1]
+            for k in range(-1074, top):
+                assert s.contains(2.0 ** k * v) == want, (v, k)
+
+    def test_no_overflow_warning_at_large_scales(self):
+        s = gram_schmidt([[1, 1j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert s.contains([1e300, 1e300j]) and not s.contains([1e300, -1e300j])
+            # |v_0| rounds to inf although both of its parts are finite
+            assert s.contains([1.5e308 * (1 + 1j), 1.5e308 * (1j - 1)])
+
+    def test_agrees_with_the_numpy_residual_oracle(self):
+        # members, near-members offset by a relative 1e-11..1e-7 into the
+        # orthocomplement, and generic vectors, in subspaces of C^1..C^16:
+        # contains decides as |v - B B^H v| < eps |v| with np.linalg.norm
+        # wherever that ratio is not within 1e-6 (relative) of eps
+        rng = np.random.default_rng(47)
+        offsets = (1e-11, 1e-10, 5e-10, 0.999e-9, 1e-9, 1.001e-9, 2e-9, 1e-8, 1e-7)
+        compared = skipped = 0
+        for n in range(1, 17):
+            for k in sorted({0, 1, n // 2, n - 1, n}):
+                u = haar_unitary(n, rng)
+                s = Subspace(n, u[:, :k])
+                vs = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+                for _ in range(3 if k else 0):
+                    m = u[:, :k] @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                    vs.append(m)
+                    for c in u[:, k:].T[:2]:
+                        vs += [m + t * np.linalg.norm(m) * c for t in offsets]
+                for v in vs:
+                    res = np.linalg.norm(v - s.basis @ (s.basis.conj().T @ v))
+                    if abs(res / np.linalg.norm(v) - EPS) <= 1e-6 * EPS:
+                        skipped += 1
+                        continue
+                    compared += 1
+                    assert s.contains(v) == (res < EPS * np.linalg.norm(v)), (n, k, res)
+        # 2,259 cases: only the 207 offsets of exactly 1e-9 lie within 1e-6 of eps
+        assert (compared, skipped) == (2052, 207)
 
 
 def _certificate_limit(eps):
@@ -420,8 +475,9 @@ class TestZeroSubspace:
 
     @pytest.mark.parametrize("n", [1, 2, 8, 16])
     @pytest.mark.parametrize("make", [lambda n: Subspace(n, np.zeros((n, 0))),
+                                      lambda n: Subspace(n, [[]] * n),
                                       Subspace.zero, Subspace],
-                             ids=["zeros-basis", "zero", "no-basis"])
+                             ids=["zeros-basis", "empty-rows", "zero", "no-basis"])
     def test_empty_basis_is_the_zero_subspace(self, make, n):
         s = make(n)
         assert s.ambient_dim == n and s.dim == 0 and s.is_zero()
@@ -458,12 +514,18 @@ class TestRefusals:
         (lambda: Subspace(0), ValueError),
         (lambda: Subspace(17), ValueError),
         (lambda: Subspace(3, np.eye(2)), DimensionMismatch),
+        # an array is judged by its shape, (ambient_dim, k), also when empty
+        (lambda: Subspace(3, np.zeros((2, 0))), DimensionMismatch),
+        (lambda: Subspace(3, np.zeros((5, 0))), DimensionMismatch),
+        (lambda: Subspace(3, np.array([])), DimensionMismatch),
+        (lambda: Subspace(2, []), DimensionMismatch),
         (lambda: Subspace(2, np.ones((2, 3))), ValueError),
         # a Gram deviation of 5e-8 lies between the 10*eps slack and 100*eps
         (lambda: Subspace(2, [[math.sqrt(1 + 5e-8)], [0]]), ValueError),
         (lambda: gram_schmidt([[1, 0], [1, 0, 0]]), DimensionMismatch),
     ], ids=["vector-empty", "vector-17", "matrix-not-square", "matrix-17",
             "matrix-nan", "ambient-0", "ambient-17", "basis-height",
+            "empty-basis-short", "empty-basis-tall", "empty-basis-flat", "empty-basis-list",
             "basis-too-wide", "basis-not-orthonormal", "vectors-mixed-sizes"])
     def test_refused_input_raises_its_type(self, make, error):
         with pytest.raises(error) as exc:
