@@ -2,11 +2,11 @@
 eigensolver for Hermitian matrices, and the subspace calculus
 (membership, containment, intersection, orthocomplement).
 
-Intersections and orthocomplements come from singular value
-decompositions.  Every membership decision is one kernel: the squared
-residual against eps^2 |v|^2 at one eps (the global default is EPS).
-`contains` validates and rescales its input, and the meet, `is_subset` and
-the opposition walk pass it unit vectors.  Subspaces immutable, functions pure.
+Intersections and orthocomplements come from singular value decompositions.
+Membership is one kernel, the squared residual against eps^2 |v|^2 at one
+eps (default EPS), and orthonormality one rule, the Subspace constructor's,
+derived from that eps.  `contains` validates and rescales its input; the meet,
+`is_subset` and the walk pass it unit vectors.  Subspaces immutable, functions pure.
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ def as_vector(v) -> np.ndarray:
 def _norm(x: np.ndarray) -> float:
     """np.linalg.norm of a 1-d complex array, bit for bit, without its
     dispatch; rescaled by max |x_i| only where the plain sum of squares is
-    below the smallest normal double (zero included) or infinite."""
+    below the smallest normal double or infinite and that max is finite and nonzero."""
     re, im = x.real, x.imag
     s = re.dot(re) + im.dot(im)
     if sys.float_info.min <= s < math.inf:
         return math.sqrt(s)
     m = float(np.max(np.abs(x)))
-    return m * _norm(np.abs(x) / m) if m else 0.0
+    return m * _norm(np.abs(x) / m) if 0.0 < m < math.inf else math.sqrt(s)
 
 
 def _unit(v: np.ndarray, n: float) -> np.ndarray:
@@ -114,11 +114,14 @@ def hermitian_eig(m, eps: float = EPS):
 
 
 class Subspace:
-    """A subspace of C^n held as an orthonormal basis (columns).
-
-    The zero subspace has an empty basis; the ambient dimension is always
-    carried explicitly.
-    """
+    """A subspace of C^n held as a basis B (columns) whose E = B^H B - I
+    has |E|_F <= d = 3/4 eps, the library's one orthonormality rule.  So a
+    column c = B e_j has ||c|^2 - 1| = |E_jj| <= d, and State takes it; its
+    residual r = c - B B^H c = -B E e_j has |r|^2 <= (1 + d) d^2 < 0.57 eps^2
+    |c|^2, inside its own span for _contains by a margin above rounding (about
+    n 2^-53) for eps >= 1e-13.  |E|_F is invariant under unitary mixing of
+    the columns and does not grow on dropping some, so the meet's directions
+    pass too.  The zero subspace has an empty basis and an explicit ambient dimension."""
 
     def __init__(self, ambient_dim: int, basis: np.ndarray | None = None, eps: float = EPS):
         check_eps(eps)
@@ -131,8 +134,8 @@ class Subspace:
         if basis.shape[1] > ambient_dim:
             raise ValueError("basis has more vectors than the ambient dimension")
         self._bh = basis.conj().T
-        if basis.shape[1] and not np.max(
-                np.abs(self._bh @ basis - np.eye(basis.shape[1]))) <= 10 * eps:
+        if basis.shape[1] and not np.vdot(
+                e := self._bh @ basis - np.eye(basis.shape[1]), e).real <= (0.75 * eps) ** 2:
             raise ValueError("basis is not orthonormal within tolerance")
         self.ambient_dim = int(ambient_dim)
         self.basis = basis
@@ -160,11 +163,11 @@ class Subspace:
         powers of two, as 2^1073 overflows.  The zero vector is refused."""
         check_eps(eps)
         v = as_vector(v)
+        if v.size != self.ambient_dim:
+            raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")
         m = float(np.max(np.abs(v)))
         if m == 0.0:
             raise ValueError("membership is undefined for the zero vector")
-        if v.size != self.ambient_dim:
-            raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")
         if not 2.0 ** -280 < m < 2.0 ** 280:
             h = -math.frexp(min(m, sys.float_info.max))[1]
             v = v * 2.0 ** (h // 2) * 2.0 ** (h - h // 2)
@@ -201,10 +204,10 @@ class Subspace:
 
         Empty meets are certified first.  With C = B_b^H B_a, a direction
         d = B_a x that the kernel accepts has |B_b C x| > (1 - eps)|d|; as
-        bases may stray 10*eps per Gram entry (s = 160*eps over 16 columns),
-        sigma_max(C)^2 > (1 - eps)^2 (1 - s)/(1 + s) > 1 - 324*eps.  So the
+        the constructor bounds |B^H B - I|_2 <= |B^H B - I|_F <= s = 3/4 eps,
+        sigma_max(C)^2 > (1 - eps)^2 (1 - s)/(1 + s) > 1 - 4*eps.  So the
         meet is zero when |C|_F^2, or else sigma_max(C)^2, is at most
-        1 - max(400*eps, 1e-4), which is at least 1.9e-5 and 76*eps under
+        1 - max(400*eps, 1e-4), which is at least 9.9e-5 and 396*eps under
         the bound: a margin far above rounding."""
         self._check_ambient(other)
         check_eps(eps)

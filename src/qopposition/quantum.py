@@ -166,10 +166,7 @@ def leaves(p: Proposition):
         return [p]
     if not isinstance(p, (And, Or)):
         raise TypeError(f"not a proposition: {p!r}")
-    out = []
-    for part in p.parts:
-        out.extend(leaves(part))
-    return out
+    return [leaf for part in p.parts for leaf in leaves(part)]
 
 
 def ambient_dim_of(subspaces) -> int:
@@ -206,9 +203,9 @@ def truth(p: Proposition, psi: State, eps: float = EPS) -> bool:
 
 
 def superpose(coefficients, states, eps: float = EPS) -> State:
-    """Normalized linear combination of states.  Raises on cancellation:
-    a combination of norm at most eps times the sum of the |c_i| (the
-    states are unit vectors, so the rule is scale-free, like contains)."""
+    """Normalized linear combination of states.  Raises on overflow (a norm
+    that is not finite) and on cancellation: a norm at most eps times the sum
+    of the |c_i| (unit states make the rule scale-free, like contains)."""
     coefficients = [complex(c) for c in coefficients]
     states = list(states)
     if not states or len(coefficients) != len(states):
@@ -217,7 +214,10 @@ def superpose(coefficients, states, eps: float = EPS) -> State:
     if len(dims) != 1:
         raise DimensionMismatch(f"states mix dimensions {dims}")
     v = sum(c * s.vector for c, s in zip(coefficients, states))
-    if _norm(v) <= eps * sum(map(abs, coefficients)):
+    n = _norm(v)
+    if not n < np.inf:
+        raise QuantumError(f"superposition overflows: its norm is {n}")
+    if n <= eps * sum(map(abs, coefficients)):
         raise QuantumError("superposition cancels to the zero vector")
     return State.normalized(v, eps)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -141,14 +142,15 @@ def serialize(sc: Scenario) -> str:
 def _vec_in(raw, dim: int, what: str) -> list:
     if not isinstance(raw, list) or len(raw) != dim:
         raise ScenarioError(f"{what}: expected {dim} components of [re, im]")
-    comps = []
     for pair in raw:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                         for x in pair)):
             raise ScenarioError(f"{what}: components must be [re, im] pairs")
-        comps.append(complex(float(pair[0]), float(pair[1])))
-    return comps
+        # json reads NaN, Infinity and 1e999 (as inf), and ints of any size
+        if not all(abs(x) <= sys.float_info.max for x in pair):
+            raise ScenarioError(f"{what}: component {pair} is not a finite double")
+    return [complex(float(re), float(im)) for re, im in raw]
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -205,17 +207,12 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
             if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
                 raise ScenarioError(f"family {fname!r}: members are [label, vectors] pairs")
             label, vecs = entry
-            if not vecs:
-                members.append((str(label), Subspace.zero(dim)))
-                continue
             basis = [_vec_in(v, dim, f"family {fname!r} member {label!r}") for v in vecs]
-            mat = np.column_stack(basis)
-            gram = mat.conj().T @ mat
-            if float(np.max(np.abs(gram - np.eye(len(basis))))) <= eps:
-                # already orthonormal: keep the components bit-exact so
-                # serialize(load(text)) reproduces text byte for byte
-                sub = Subspace(dim, mat, eps)
-            else:
+            try:
+                # a basis the constructor accepts (no vectors: the zero subspace)
+                # keeps its bits, so serialize(load(text)) reproduces text byte for byte
+                sub = Subspace(dim, np.column_stack(basis) if basis else None, eps)
+            except ValueError:
                 sub = gram_schmidt(basis, eps)
             members.append((str(label), sub))
         sc.families[fname] = OrthoFamily(dim, members, eps)

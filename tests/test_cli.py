@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -419,6 +420,51 @@ class TestScenario:
         else:
             assert code == EXIT_USAGE and out == ""
             assert err == "error: input is nested too deeply\n"
+
+    @pytest.mark.parametrize("where, what", [
+        ("state", "state 't'"), ("observable", "observable 'X' row"),
+        ("member", "family 'f' member 'a'")], ids=["state", "observable", "member"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400],
+                             ids=["NaN", "Infinity", "-Infinity", "int-1e400"])
+    def test_non_finite_number_is_a_usage_error(self, capsys, tmp_path, where, what, bad):
+        # json reads NaN, Infinity and -Infinity, and integers of any size
+        up, down, row = [[1, 0], [0, 0]], [[0, 0], [1, 0]], [[bad, 0], [1, 0]]
+        doc = {"name": "t", "dim": 2, "states": {"t": up}, "observables": {"X": [down, up]},
+               "families": {"f": {"members": [["a", [up]], ["b", [down]]]}}}
+        if where == "state":
+            doc["states"]["t"] = row
+        elif where == "observable":
+            doc["observables"]["X"][0] = row
+        else:
+            doc["families"]["f"]["members"][0][1][0] = row
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "prob", str(path), "t", "f")
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {what}: component {[bad, 0]} is not a finite double\n"
+
+    def test_member_basis_near_orthonormal_is_decided_consistently(self, capsys, tmp_path):
+        # m's vectors stray 9e-10 per Gram entry from orthonormal, 1.8e-9 in
+        # the Frobenius norm: past the constructor's 3/4 eps, so the loader
+        # orthonormalizes them, and m contains e1 for prob, attribute and classify
+        e = lambda i, x=0.0: [[1.0 if j == i else x if j == 0 else 0.0, 0.0] for j in range(4)]
+        doc = {"name": "t", "dim": 4, "states": {"b1": e(0)},
+               "families": {"f": {"members": [["m", [e(0), e(1, 9e-10), e(2, 9e-10)]],
+                                              ["n", [e(3)]]]}}}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, prob = run_json(capsys, "prob", str(path), "b1", "f")
+        assert code == EXIT_OK and prob["results"]["probabilities"] == {"m": 1, "n": 0}
+        code, attr = run_json(capsys, "attribute", str(path), "b1", "f")
+        assert code == EXIT_OK and attr["results"]["attributed"] == ["m"]
+        code, cls = run_json(capsys, "classify", str(path), "f.m", "f.n")
+        assert code == EXIT_OK and cls["results"]["relation"] == "Contrary"
+        from qopposition.scenarios import load_scenario
+        fam = load_scenario(path.read_text()).families["f"]
+        witness = [complex(*c) for c in cls["results"]["witnesses"]["both_false"]["state"]]
+        assert not any(sub.contains(witness) for _, sub in fam.members)
 
     @pytest.mark.parametrize("argv", [("scenario", "show", "DIR"),
                                       ("classify", "DIR", "a", "b")],

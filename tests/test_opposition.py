@@ -421,16 +421,17 @@ class TestRefusals:
         assert classify(And(()), u_x).relation is Relation.SUBCONTRARY
 
 
-@pytest.mark.xfail(strict=True, raises=QuantumError, reason=(
-    "the constructor's 10*eps Gram slack admits a basis column of norm "
-    "1 + 4.5e-9, which the walk's membership test rejects in its own leaf "
-    "and State() then refuses (ROADMAP item 12)"))
 def test_family_column_at_the_gram_slack_is_decided():
-    a = Subspace(2, [[math.sqrt(1 + 9e-9)], [0]])
+    # a column of norm sqrt(1 + 9e-9) strays 9e-9 from unit length, past the
+    # constructor's 3/4 eps bound, so the walk never hands it to State()
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, [[math.sqrt(1 + 9e-9)], [0]])
+    # one just inside the bound is a unit state in its own line
+    a = Subspace(2, [[math.sqrt(1 + 0.74e-9)], [0]])
     b = Subspace(2, [[0], [1]])
     fam = OrthoFamily(2, [("a", a), ("b", b)])
     c = classify(lit(fam, "a"), lit(fam, "b"))
-    assert c.relation is Relation.CONTRARY
+    assert c.relation is Relation.CONTRARY and "both_false" in c.witnesses
     assert all(w.replay() for w in c.witnesses.values())
 
 

@@ -85,6 +85,16 @@ class TestSuperpose:
         with pytest.raises(DimensionMismatch):
             superpose([1, 1], [UP_Z, State([1, 0, 0])])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, in the sum
+    @pytest.mark.parametrize("coefficients", [[1e308, 1e308], [1.5e308, 1.5e308j],
+                                              [math.inf], [math.nan], [math.inf, -math.inf]],
+                             ids=["sum-overflows", "modulus-overflows", "inf", "nan",
+                                  "inf-minus-inf"])
+    def test_non_finite_combination_overflows(self, coefficients):
+        # refused before the cancellation test, which inf <= eps * inf would pass
+        with pytest.raises(QuantumError, match="overflows"):
+            superpose(coefficients, [UP_Z] * len(coefficients))
+
 
 class TestBorn:
     def test_eigenstate_gives_one(self):

@@ -232,6 +232,18 @@ class TestLoading:
         a = load_scenario(json.dumps(doc)).families["f"].members[0][1]
         assert a.dim == 1 and a.basis[:, 0].tolist() == [1, 0]
 
+    @pytest.mark.parametrize("stray, exact", [(0.74e-9, True), (0.76e-9, False)])
+    def test_member_basis_kept_bit_exact_when_the_constructor_takes_it(self, stray, exact):
+        # a column of squared norm 1 + stray: within 3/4 eps of orthonormal its
+        # bits are kept; past it gram_schmidt normalizes the column
+        s = math.sqrt(1 + stray)
+        doc = {"name": "t", "dim": 2,
+               "families": {"f": {"members": [["a", [[[s, 0.0], [0.0, 0.0]]]],
+                                              ["b", [[[0.0, 0.0], [1.0, 0.0]]]]]}}}
+        a = load_scenario(json.dumps(doc)).families["f"].subspace("a")
+        assert (a.basis[0, 0] == s) == exact and abs(a.basis[0, 0] - 1) < 1e-9
+        assert a.contains(a.basis[:, 0])
+
     def test_zero_state_rejected(self):
         doc = {"name": "t", "dim": 2,
                "states": {"s": [[0.0, 0.0], [0.0, 0.0]]}}
