@@ -23,8 +23,8 @@ import json
 import os
 import sys
 
-from .scenarios import (BUILTIN_NAMES, EPS, Scenario, builtin, canonical_json,
-                        check_eps, load_scenario, run_all, run_query, serialize)
+from .scenarios import (BUILTIN_NAMES, EPS, Scenario, ScenarioError, _vec_in, builtin,
+                        canonical_json, check_eps, load_scenario, run_all, run_query, serialize)
 
 SCHEMA_VERSION = 1
 
@@ -142,15 +142,15 @@ def _check_witness(args, sc: Scenario) -> int:
     raw = json.loads(args.check_witness)
     state = raw.get("state") if isinstance(raw, dict) else None
     pattern = raw.get("pattern") if isinstance(raw, dict) else None
-    number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
-    if not (isinstance(state, list)
-            and all(isinstance(c, list) and len(c) == 2 and all(map(number, c))
-                    for c in state)
-            and isinstance(pattern, list) and len(pattern) == 2
-            and all(isinstance(b, bool) for b in pattern)):
+    try:  # the loader's rule for a vector: finite doubles as [re, im] pairs
+        vector = _vec_in(state, len(state) if isinstance(state, list) else 0, "state")
+    except ScenarioError:
+        vector = None
+    if vector is None or not (isinstance(pattern, list) and len(pattern) == 2
+                              and all(isinstance(b, bool) for b in pattern)):
         raise CliError('--check-witness expects {"state": [[re, im], ...], '
                        '"pattern": [bool, bool]}')
-    psi = State.normalized([complex(a, b) for a, b in state], args.eps)
+    psi = State.normalized(vector, args.eps)
     observed = [truth(p, psi, args.eps), truth(q, psi, args.eps)]
     valid = observed == pattern
     _emit(args, "classify --check-witness",

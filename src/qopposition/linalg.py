@@ -75,16 +75,9 @@ def as_matrix(m) -> np.ndarray:
 
 
 def is_hermitian(m, eps: float = EPS) -> bool:
+    check_eps(eps)
     a = as_matrix(m)
     return float(np.max(np.abs(a - a.conj().T))) < eps
-
-
-def _canonical_phase(v: np.ndarray, eps: float) -> np.ndarray:
-    """Rotate the global phase so the first component above eps is real and
-    positive: a unit vector has one, of size >= 1/sqrt(MAX_DIM) = 1/4."""
-    for x in v:
-        if abs(x) > eps:
-            return v * (abs(x) / x)
 
 
 def hermitian_eig(m, eps: float = EPS):
@@ -92,21 +85,24 @@ def hermitian_eig(m, eps: float = EPS):
     on its symmetrized form.
 
     Returns (eigenvalues, eigenvectors): eigenvalues ascending as a real
-    array, eigenvectors as columns of a unitary matrix, phases fixed so
-    the first nonzero component of each vector is real positive.  Ties in
-    the eigenvalue sort are broken by the eigenvector components, compared
-    as (re, im) pairs in order.
+    array, eigenvectors as columns of a unitary matrix, each column times
+    |x|/x for its first component x above eps (a unit vector has one, of
+    size >= 1/sqrt(MAX_DIM) = 1/4), so x turns real positive; |x| is np.hypot,
+    which rounds as abs() of a numpy complex scalar does (np.abs on an array
+    does not always).  Ties in the eigenvalue sort are broken by the
+    eigenvector components, compared as (re, im) pairs in order.
     """
-    check_eps(eps)
+    if not is_hermitian(m, eps):
+        raise ValueError("matrix is not Hermitian within eps")
     a = as_matrix(m)
     n = a.shape[0]
-    if not is_hermitian(a, eps):
-        raise ValueError("matrix is not Hermitian within eps")
     try:
         evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed: {exc}") from None
-    vecs = np.column_stack([_canonical_phase(v[:, i].copy(), eps) for i in range(n)])
+    size = np.hypot(v.real, v.imag)
+    first = np.argmax(size > eps, axis=0), np.arange(n)
+    vecs = v * (size[first] / v[first])
     # np.lexsort sorts by its last key first: evals, then re v_0i, im v_0i, re v_1i, ...
     keys = np.stack([vecs.real, vecs.imag], axis=1).reshape(2 * n, n)[::-1]
     order = np.lexsort(np.vstack([keys, evals]))
@@ -208,11 +204,9 @@ class Subspace:
         sigma_max(C)^2 > (1 - eps)^2 (1 - s)/(1 + s) > 1 - 4*eps.  So the
         meet is zero when |C|_F^2, or else sigma_max(C)^2, is at most
         1 - max(400*eps, 1e-4), which is at least 9.9e-5 and 396*eps under
-        the bound: a margin far above rounding."""
+        the bound: a margin far above rounding.  A zero subspace gives an empty C, |C|_F = 0."""
         self._check_ambient(other)
         check_eps(eps)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim)
         cross = other._bh.dot(self.basis)
         limit = 1.0 - max(400.0 * eps, 1e-4)
         if (np.vdot(cross, cross).real <= limit
@@ -227,10 +221,8 @@ class Subspace:
         return Subspace(self.ambient_dim, dirs[:, keep], eps)
 
     def orthocomplement(self, eps: float = EPS) -> "Subspace":
-        """The trailing left singular vectors of the basis."""
+        """The trailing left singular vectors of the basis (for n x 0, all of np.eye(n))."""
         check_eps(eps)
-        if self.is_zero():
-            return Subspace.full(self.ambient_dim)
         u, _, _ = np.linalg.svd(self.basis)
         return Subspace(self.ambient_dim, u[:, self.dim:], eps)
 

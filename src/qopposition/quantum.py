@@ -27,6 +27,7 @@ class State:
     """A pure state: a unit vector."""
 
     def __init__(self, vector, eps: float = EPS):
+        check_eps(eps)
         v = as_vector(vector)
         n = _norm(v)
         if abs(n - 1.0) > eps:
@@ -44,6 +45,8 @@ class State:
         n = _norm(v)
         if n == 0.0:
             raise QuantumError("cannot normalize a (near-)zero vector")
+        if n == np.inf:  # finite components whose norm is not a double
+            raise QuantumError("cannot normalize a vector whose norm overflows")
         return State(_unit(v, n), eps)
 
     def __repr__(self):
@@ -54,10 +57,11 @@ class State:
 class Observable:
     matrix: np.ndarray
     label: str = ""
+    eps: float = field(default=EPS, compare=False, repr=False)  # of the Hermitian check
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if not is_hermitian(m):
+        if not is_hermitian(m, self.eps):
             raise QuantumError(f"observable {self.label!r} is not Hermitian")
         object.__setattr__(self, "matrix", m)
 
@@ -213,13 +217,14 @@ def superpose(coefficients, states, eps: float = EPS) -> State:
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise DimensionMismatch(f"states mix dimensions {dims}")
-    v = sum(c * s.vector for c, s in zip(coefficients, states))
-    n = _norm(v)
-    if not n < np.inf:
-        raise QuantumError(f"superposition overflows: its norm is {n}")
-    if n <= eps * sum(map(abs, coefficients)):
-        raise QuantumError("superposition cancels to the zero vector")
-    return State.normalized(v, eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        v = sum(c * s.vector for c, s in zip(coefficients, states))
+        n = _norm(v)
+        if not n < np.inf:
+            raise QuantumError(f"superposition overflows: its norm is {n}")
+        if n <= eps * sum(map(abs, coefficients)):
+            raise QuantumError("superposition cancels to the zero vector")
+        return State.normalized(v, eps)
 
 
 def born(psi: State, s: Subspace) -> float:
@@ -238,6 +243,7 @@ def minimal_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> se
 def paraconsistent_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> set:
     """Labels of every member present in the superposition (Born weight
     above eps), regardless of how skewed the weights are."""
+    check_eps(eps)
     return {lab for lab, sub in family.members if born(psi, sub) > eps}
 
 

@@ -162,6 +162,7 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def load_scenario(text: str, eps: float = EPS) -> Scenario:
+    check_eps(eps)  # also for a document with no state, observable or family
     import numpy as np
 
     from .linalg import MAX_DIM, Subspace, _norm, gram_schmidt
@@ -197,7 +198,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
         if not isinstance(rows, list) or len(rows) != dim:
             raise ScenarioError(f"observable {oname!r}: expected {dim} rows")
         m = np.array([_vec_in(r, dim, f"observable {oname!r} row") for r in rows])
-        sc.observables[oname] = Observable(m, oname)
+        sc.observables[oname] = Observable(m, oname, eps)
 
     for fname, raw_fam in sorted(_section(doc, "families").items()):
         if not (isinstance(raw_fam, dict) and isinstance(raw_fam.get("members"), list)):
@@ -387,6 +388,7 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
     op and args, then what the op computed (witnesses with their
     patterns, polygon positions, the probability total, LP models when
     asked).  The LP ops need no scenario."""
+    check_eps(eps)
     if not (isinstance(query, dict) and "op" in query):
         raise ScenarioError(f"malformed query {query!r}")
     op = query["op"]

@@ -4,10 +4,16 @@ Everything here is seeded: each helper takes a numpy Generator so tests
 stay reproducible.
 """
 
+import math
+
 import numpy as np
 
 from qopposition.linalg import Subspace, gram_schmidt
 from qopposition.quantum import Literal, State
+
+# each lies outside check_eps's open interval (0, 1e-3)
+BAD_EPS = [math.nan, -1e-9, 0.0, 1e-3]
+BAD_EPS_IDS = ["nan", "negative", "zero", "1e-3"]
 
 
 def random_state(n, rng):

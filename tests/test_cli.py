@@ -74,13 +74,20 @@ class TestClassify:
         '{"state": [[1, 0], [0, 0]], "pattern": [true]}',
         '{"state": [[1, 0, 0], [0, 0]], "pattern": [true, false]}',
         '{"state": [[1, 0], [0, 0]], "pattern": [1, 0]}',
+        # the state goes through the loader's rule: finite doubles only
+        '{"state": [[1%s, 0], [0, 0]], "pattern": [true, false]}' % ("0" * 400),
+        '{"state": [[NaN, 0], [1, 0]], "pattern": [false, false]}',
+        '{"state": [[1, 0], [0, Infinity]], "pattern": [true, false]}',
+        '{"state": [[1e999, 0], [0, 0]], "pattern": [true, false]}',
     ], ids=["list", "state-number", "one-entry-pattern", "three-part-component",
-            "integer-pattern"])
+            "integer-pattern", "int-1e400", "NaN", "Infinity", "1e999"])
     def test_check_witness_malformed(self, capsys, witness):
-        code, out, err = run(capsys, "classify", "spin_half_x", "u_x", "d_x",
-                             "--check-witness", witness)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "classify", "spin_half_x", "u_x", "d_x",
+                                 "--check-witness", witness)
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: --check-witness expects")
+        assert err.startswith("error: --check-witness expects") and err.count("\n") == 1
 
     def test_printed_witnesses_replay(self, capsys):
         """Every witness the command prints must validate via --check-witness."""
@@ -202,6 +209,32 @@ class TestProbAttribute:
             code, out, err = run(capsys, "prob", str(path), "big", "f")
         assert code == EXIT_OK and err == ""
         assert out.endswith("probabilities:\n  a: 0.5\n  b: 0.5\ntotal: 1\n")
+
+    def test_state_whose_norm_overflows_is_refused_as_such(self, capsys, tmp_path):
+        # finite components, but the norm is not a double: said so, not "norm 0.0"
+        doc = {"name": "t", "dim": 2, "states": {"big": [[1.5e308, 0], [1.5e308, 0]]},
+               "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
+                                              ["b", [[[0, 0], [1, 0]]]]]}}}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "prob", str(path), "big", "f")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: cannot normalize a vector whose norm overflows\n"
+
+    @pytest.mark.parametrize("eps, code", [("1e-6", EXIT_OK), (None, EXIT_USAGE)],
+                             ids=["eps-1e-6", "default-eps"])
+    def test_observable_is_checked_at_the_load_eps(self, capsys, tmp_path, eps, code):
+        # an asymmetry of 5e-7: Hermitian at eps 1e-6, not at the default 1e-9
+        doc = {"name": "t", "dim": 2,
+               "observables": {"X": [[[0, 0], [1, 0]], [[1.0000005, 0], [0, 0]]]}}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run(capsys, *(["--eps", eps] if eps else []),
+                            "scenario", "show", str(path))
+        assert got == code
+        assert err == ("" if eps else "error: observable 'X' is not Hermitian\n")
 
     def test_unknown_state(self, capsys):
         code, out, err = run(capsys, "prob", "spin_half_x", "ghost", "x")

@@ -6,10 +6,11 @@ import pytest
 
 from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
                                 LinalgError, Subspace, _norm, as_matrix, as_vector,
-                                gram_schmidt, hermitian_eig)
+                                gram_schmidt, hermitian_eig, is_hermitian)
 from qopposition.quantum import Observable, State, family_from_observable
 
-from helpers import haar_unitary, random_hermitian, random_subspace, random_state
+from helpers import (BAD_EPS, BAD_EPS_IDS, haar_unitary, random_hermitian, random_subspace,
+                     random_state)
 
 R2 = 1.0 / math.sqrt(2.0)
 _SVD = np.linalg.svd
@@ -115,6 +116,27 @@ class TestHermitianEig:
             a = hermitian_eig(h)
             b = hermitian_eig(h)
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_phase_is_the_per_column_loop_bit_for_bit(self, monkeypatch):
+        # the reference is the loop over columns: each times abs(x)/x for its
+        # first entry x above eps, by numpy's scalar abs and division (np.abs
+        # on an array rounds differently for some x).  LAPACK's first row is
+        # real, so eigh is replaced by unitaries whose leading entries are
+        # often zero or under eps, to make the first entry above eps complex.
+        # n = 1 is left out: LAPACK's 1x1 eigenvector is 1, and numpy rounds a
+        # one-element complex product differently by memory layout
+        rng = np.random.default_rng(11)
+        for n in range(2, 17):
+            for eps in (EPS, 1e-6):
+                v, h = haar_unitary(n, rng), n // 2
+                v[:h] *= (rng.random((h, n)) < 0.3) + (rng.random((h, n)) < 0.3) * eps
+                monkeypatch.setattr(np.linalg, "eigh", lambda _: (np.arange(n * 1.0), v))
+                want = []
+                for col in v.T:
+                    x = next(x for x in col if abs(x) > eps)
+                    want.append(col * (abs(x) / x))
+                _, vecs = hermitian_eig(np.eye(n), eps)
+                assert vecs.tobytes() == np.column_stack(want).tobytes()
 
     def test_eigenvalues_ascending(self):
         rng = np.random.default_rng(9)
@@ -545,6 +567,17 @@ class TestZeroSubspace:
         assert not s.basis.flags.writeable
         assert not s.contains(np.ones(n))
         assert s.is_subset(Subspace.full(n)) and Subspace.full(n).intersect(s).is_zero()
+        # the meet's certificate and the SVD decide the zero subspace with no
+        # case of their own: it meets anything, on either side, in zero, and
+        # its orthocomplement is spanned by the identity, bit for bit
+        rng = np.random.default_rng(n)
+        for other in [s, Subspace.zero(n), Subspace.full(n),
+                      *(random_subspace(n, k, rng) for k in range(1, n + 1))]:
+            for meet in (s.intersect(other), other.intersect(s)):
+                assert meet.ambient_dim == n and meet.is_zero()
+        full = s.orthocomplement().basis
+        assert full.dtype == complex and full.shape == (n, n)
+        assert full.tobytes() == np.eye(n, dtype=complex).tobytes()
 
     @pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, math.nan])
     @pytest.mark.parametrize("make", [lambda eps: Subspace(2, np.zeros((2, 0)), eps),
@@ -585,11 +618,12 @@ class TestRefusals:
         # the size is checked before the zero vector is refused
         (lambda: Subspace(2, [[1], [0]]).contains(np.zeros(3)), DimensionMismatch),
         (lambda: gram_schmidt([[1, 0], [1, 0, 0]]), DimensionMismatch),
+        *[(lambda eps=eps: is_hermitian(np.eye(2), eps), ValueError) for eps in BAD_EPS],
     ], ids=["vector-empty", "vector-17", "matrix-not-square", "matrix-17",
             "matrix-nan", "ambient-0", "ambient-17", "basis-height",
             "empty-basis-short", "empty-basis-tall", "empty-basis-flat", "empty-basis-list",
             "basis-too-wide", "basis-not-orthonormal", "contains-zero-wrong-size",
-            "vectors-mixed-sizes"])
+            "vectors-mixed-sizes", *(f"is-hermitian-eps-{i}" for i in BAD_EPS_IDS)])
     def test_refused_input_raises_its_type(self, make, error):
         with pytest.raises(error) as exc:
             make()

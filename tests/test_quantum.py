@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qopposition.linalg import (DimensionMismatch, Subspace, gram_schmidt,
+from qopposition.linalg import (DimensionMismatch, Subspace, _norm, gram_schmidt,
                                 hermitian_eig)
 from qopposition.quantum import (And, Literal, Observable, Or, OrthoFamily,
                                  QuantumError, State, born,
                                  family_from_observable, minimal_attribution,
                                  paraconsistent_attribution, superpose, truth)
 
-from helpers import apply_unitary_subspace, haar_unitary, random_state
+from helpers import BAD_EPS, BAD_EPS_IDS, apply_unitary_subspace, haar_unitary, random_state
 
 R2 = 1.0 / math.sqrt(2.0)
 UP_X = State([R2, R2])
@@ -53,6 +53,19 @@ class TestState:
         psi = State.normalized([tiny, 0], eps=1e-15)
         assert abs(psi.vector[0] - 1) <= 2e-16 and psi.vector[1] == 0
 
+    @pytest.mark.parametrize("vector", [[1.5e308, 1.5e308], [1e308, 1.5e308j, -1e308]])
+    def test_normalized_refuses_a_norm_that_overflows(self, vector):
+        # finite components whose norm is no double: dividing by inf would
+        # leave the zero vector, refused as "norm 0.0, expected 1"
+        with np.errstate(over="ignore"), pytest.raises(QuantumError, match="overflows"):
+            State.normalized(vector)
+
+    def test_normalized_keeps_the_bits_of_a_finite_norm(self):
+        v = np.array([1e308, 1e308, 1e307j])
+        with np.errstate(over="ignore"):
+            n = _norm(v)
+            assert n < math.inf and State.normalized(v).vector.tobytes() == (v / n).tobytes()
+
 
 class TestSuperpose:
     def test_basis_conversion_back_to_up_z(self):
@@ -85,7 +98,7 @@ class TestSuperpose:
         with pytest.raises(DimensionMismatch):
             superpose([1, 1], [UP_Z, State([1, 0, 0])])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, in the sum
+    @pytest.mark.filterwarnings("error")  # numpy's overflow in the sum is no warning
     @pytest.mark.parametrize("coefficients", [[1e308, 1e308], [1.5e308, 1.5e308j],
                                               [math.inf], [math.nan], [math.inf, -math.inf]],
                              ids=["sum-overflows", "modulus-overflows", "inf", "nan",
@@ -211,6 +224,16 @@ class TestFamilyFromObservable:
         assert fam.subspace("1").contains([1, 0])
         assert fam.subspace("-1").contains([0, 1])
 
+    def test_hermitian_at_its_own_eps(self):
+        # an asymmetry of 5e-7 is Hermitian at eps 1e-6, as hermitian_eig
+        # decides there, and not at the default eps
+        m = np.array([[0, 1], [1.0000005, 0]])
+        obs = Observable(m, "X", 1e-6)
+        assert obs.eps == 1e-6 and "eps" not in repr(obs)
+        assert family_from_observable(obs, 1e-6).labels == ["-1", "1"]
+        with pytest.raises(QuantumError, match="not Hermitian"):
+            Observable(m, "X")
+
     def test_identity_degenerate(self):
         fam = family_from_observable(Observable(np.eye(2), "I"))
         assert len(fam.members) == 1
@@ -307,9 +330,16 @@ class TestRefusals:
         # every part is evaluated: no literal's value short-circuits a stray part
         (lambda: truth(And((lit(x_family(), "up_x"), "x")), UP_Z), TypeError),
         (lambda: truth(Or((lit(x_family(), "up_x"), "x")), UP_X), TypeError),
+        # every entry that takes eps refuses a bad one
+        *[(lambda eps=eps: State([1, 0], eps), ValueError) for eps in BAD_EPS],
+        *[(lambda eps=eps: paraconsistent_attribution(UP_X, x_family(), eps), ValueError)
+          for eps in BAD_EPS],
+        *[(lambda eps=eps: Observable(np.eye(2), "X", eps), ValueError) for eps in BAD_EPS],
     ], ids=["family-empty", "family-duplicate-labels", "family-mixed-ambient",
             "superpose-empty", "truth-non-proposition", "truth-and-false-part",
-            "truth-or-true-part"])
+            "truth-or-true-part", *(f"state-eps-{i}" for i in BAD_EPS_IDS),
+            *(f"paraconsistent-eps-{i}" for i in BAD_EPS_IDS),
+            *(f"observable-eps-{i}" for i in BAD_EPS_IDS)])
     def test_refused_input_raises_its_type(self, make, error):
         with pytest.raises(error) as exc:
             make()

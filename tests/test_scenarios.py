@@ -11,7 +11,7 @@ from qopposition.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError, built
                                    canonical_json, load_scenario, run_all,
                                    run_query, serialize)
 
-from helpers import random_state
+from helpers import BAD_EPS, BAD_EPS_IDS, random_state
 
 
 class TestCanonicalJson:
@@ -336,6 +336,20 @@ class TestRefusals:
         with pytest.raises(ScenarioError) as exc:
             load_scenario(json.dumps(doc))
         assert type(exc.value) is ScenarioError and isinstance(exc.value, ValueError)
+
+    # a document with nothing that reaches State, and queries that take no
+    # state at eps (prob, and the LP ops), still refuse a bad eps
+    @pytest.mark.parametrize("eps", BAD_EPS, ids=BAD_EPS_IDS)
+    @pytest.mark.parametrize("make", [
+        lambda eps: load_scenario('{"name": "t", "dim": 2}', eps),
+        lambda eps: run_query(builtin("cat"), {"op": "prob", "args": {
+            "state": "Phi", "family": "fate"}}, eps),
+        lambda eps: run_query(None, {"op": "lp_chain", "args": {"labels": ["a", "b"]}}, eps),
+    ], ids=["load-empty", "query-prob", "query-lp"])
+    def test_bad_eps_refused(self, make, eps):
+        with pytest.raises(ValueError, match="eps must lie") as exc:
+            make(eps)
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("make, message", [
         (lambda: builtin("nope"),
