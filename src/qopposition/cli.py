@@ -142,8 +142,8 @@ def _check_witness(args, sc: Scenario) -> int:
     raw = json.loads(args.check_witness)
     state = raw.get("state") if isinstance(raw, dict) else None
     pattern = raw.get("pattern") if isinstance(raw, dict) else None
-    try:  # the loader's rule for a vector: finite doubles as [re, im] pairs
-        vector = _vec_in(state, len(state) if isinstance(state, list) else 0, "state")
+    try:  # the loader's rule for a vector: sc.dim finite doubles as [re, im] pairs
+        vector = _vec_in(state, sc.dim, "state")
     except ScenarioError:
         vector = None
     if vector is None or not (isinstance(pattern, list) and len(pattern) == 2

@@ -115,9 +115,9 @@ class Subspace:
     column c = B e_j has ||c|^2 - 1| = |E_jj| <= d, and State takes it; its
     residual r = c - B B^H c = -B E e_j has |r|^2 <= (1 + d) d^2 < 0.57 eps^2
     |c|^2, inside its own span for _contains by a margin above rounding (about
-    n 2^-53) for eps >= 1e-13.  |E|_F is invariant under unitary mixing of
-    the columns and does not grow on dropping some, so the meet's directions
-    pass too.  The zero subspace has an empty basis and an explicit ambient dimension."""
+    n 2^-53).  |E|_F is invariant under unitary mixing of the columns and does
+    not grow on dropping some, so the meet's directions pass too.  The zero
+    subspace has an empty basis and an explicit ambient dimension."""
 
     def __init__(self, ambient_dim: int, basis: np.ndarray | None = None, eps: float = EPS):
         check_eps(eps)
@@ -153,8 +153,8 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def contains(self, v, eps: float = EPS) -> bool:
-        """Membership: residual of v against the subspace below eps*|v| (or
-        exactly 0), at every scale: where max |v_i| (at most the largest double)
+        """Membership: residual of v against the subspace below eps*|v|,
+        at every scale: where max |v_i| (at most the largest double)
         lies outside 2^(+-280), v is first scaled into [1/2, 1) by two exact
         powers of two, as 2^1073 overflows.  The zero vector is refused."""
         check_eps(eps)
@@ -170,11 +170,10 @@ class Subspace:
         return self._contains(v, eps * eps * float(np.vdot(v, v).real))
 
     def _contains(self, v: np.ndarray, bound: float) -> bool:
-        """The membership kernel: |v - B B^H v|^2 below bound = eps^2 |v|^2, or 0;
+        """The membership kernel: |v - B B^H v|^2 below bound = eps^2 |v|^2;
         v finite, nonzero, of the ambient size, its squares neither under- nor overflowing."""
         r = v - self.basis.dot(self._bh.dot(v))
-        q = float(np.vdot(r, r).real)
-        return q < bound or q == 0.0
+        return float(np.vdot(r, r).real) < bound
 
     def is_subset(self, other: "Subspace", eps: float = EPS) -> bool:
         check_eps(eps)
@@ -203,12 +202,12 @@ class Subspace:
         the constructor bounds |B^H B - I|_2 <= |B^H B - I|_F <= s = 3/4 eps,
         sigma_max(C)^2 > (1 - eps)^2 (1 - s)/(1 + s) > 1 - 4*eps.  So the
         meet is zero when |C|_F^2, or else sigma_max(C)^2, is at most
-        1 - max(400*eps, 1e-4), which is at least 9.9e-5 and 396*eps under
-        the bound: a margin far above rounding.  A zero subspace gives an empty C, |C|_F = 0."""
+        1 - 400*eps, 396*eps >= 3.96e-11 under the bound: a margin far
+        above rounding.  A zero subspace gives an empty C, |C|_F = 0."""
         self._check_ambient(other)
         check_eps(eps)
         cross = other._bh.dot(self.basis)
-        limit = 1.0 - max(400.0 * eps, 1e-4)
+        limit = 1.0 - 400.0 * eps
         if (np.vdot(cross, cross).real <= limit
                 or np.linalg.svd(cross, compute_uv=False)[0] ** 2 <= limit):
             return Subspace.zero(self.ambient_dim)

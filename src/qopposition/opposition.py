@@ -189,6 +189,7 @@ def random_witness_search(props, pattern, seed: int,
     requested truth pattern; None if the budget runs out.  States are
     drawn in batches; the returned witness is the first match in the
     sampled stream, so a fixed seed gives an identical outcome."""
+    check_eps(eps)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     props = tuple(props)

@@ -34,8 +34,8 @@ class ScenarioError(ValueError):
 
 
 def check_eps(eps: float) -> float:
-    if not (0.0 < eps < 1e-3):
-        raise ValueError(f"eps must lie in (0, 1e-3), got {eps}")
+    if not (1e-13 <= eps < 1e-3):
+        raise ValueError(f"eps must lie in [1e-13, 1e-3), got {eps}")
     return eps
 
 
@@ -442,12 +442,12 @@ def run_query(sc: Scenario | None, query: dict, eps: float = EPS) -> dict:
         mode = args.get("mode", "lp")
         out["constraints"] = [str(f) for f in constraints]
         out["mode"] = mode
+        ask = args.get("models", False)
+        if not isinstance(ask, bool):
+            raise ScenarioError(f"query argument 'models' must be true or false, got {ask!r}")
         # when models are asked for, their first is the one satisfiable finds
-        every = models(constraints, mode) if args.get("models") else None
-        if every is None:
-            model = satisfiable(constraints, mode)
-        else:
-            model = every[0] if every else None
+        every = models(constraints, mode) if ask else None
+        model = satisfiable(constraints, mode) if every is None else next(iter(every), None)
         out["satisfiable"] = model is not None
         if model is not None:
             out["model"] = {k: str(v) for k, v in sorted(model.items())}

@@ -11,9 +11,10 @@ import numpy as np
 from qopposition.linalg import Subspace, gram_schmidt
 from qopposition.quantum import Literal, State
 
-# each lies outside check_eps's open interval (0, 1e-3)
-BAD_EPS = [math.nan, -1e-9, 0.0, 1e-3]
-BAD_EPS_IDS = ["nan", "negative", "zero", "1e-3"]
+# each lies outside check_eps's interval [1e-13, 1e-3); the last three lie
+# just below its floor, where the Subspace constructor's proof fails
+BAD_EPS = [math.nan, -1e-9, 0.0, 1e-3, 9.9e-14, 1e-16, 5e-324]
+BAD_EPS_IDS = ["nan", "negative", "zero", "1e-3", "9.9e-14", "1e-16", "5e-324"]
 
 
 def random_state(n, rng):

@@ -79,8 +79,10 @@ class TestClassify:
         '{"state": [[NaN, 0], [1, 0]], "pattern": [false, false]}',
         '{"state": [[1, 0], [0, Infinity]], "pattern": [true, false]}',
         '{"state": [[1e999, 0], [0, 0]], "pattern": [true, false]}',
+        # the state has the scenario's dimension, 2
+        '{"state": [[1, 0], [0, 0], [0, 0]], "pattern": [true, false]}',
     ], ids=["list", "state-number", "one-entry-pattern", "three-part-component",
-            "integer-pattern", "int-1e400", "NaN", "Infinity", "1e999"])
+            "integer-pattern", "int-1e400", "NaN", "Infinity", "1e999", "state-three-rows"])
     def test_check_witness_malformed(self, capsys, witness):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -544,6 +546,17 @@ class TestScenario:
         assert {k: v for k, v in result.items() if k not in ("op", "args")} \
             == direct["results"]
 
+    @pytest.mark.parametrize("ask", ["no", 1, None], ids=["string", "number", "null"])
+    def test_lp_check_models_must_be_a_boolean(self, capsys, tmp_path, ask):
+        from qopposition.scenarios import builtin, serialize
+        doc = json.loads(serialize(builtin("cat")))
+        doc["queries"] = [{"op": "lp_check", "args": {"constraints": ["p"], "models": ask}}]
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "scenario", "run", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: query argument 'models' must be true or false, got {ask!r}\n"
+
     def test_missing_scenario(self, capsys):
         code, out, err = run(capsys, "classify", "nope", "a", "b")
         assert code == EXIT_USAGE
@@ -602,7 +615,16 @@ class TestGlobalFlags:
         # an LP command takes the same check without loading the linear algebra
         code, out, err = run(capsys, "lp", "chain", "a", "b", "--eps", "0.5")
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: eps must lie in (0, 1e-3), got 0.5\n"
+        assert err == "error: eps must lie in [1e-13, 1e-3), got 0.5\n"
+
+    def test_eps_below_the_floor(self, capsys):
+        # below 1e-13 gram_schmidt's bases can fail the Subspace constructor's
+        # orthonormality rule, so such an eps is refused up front
+        code, out, err = run(capsys, "--eps", "1e-15", "classify", "cat", "dead", "alive")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: eps must lie in [1e-13, 1e-3), got 1e-15\n"
+        code, out, err = run(capsys, "--eps", "1e-13", "classify", "cat", "dead", "alive")
+        assert code == EXIT_OK and "Contrary" in out and err == ""
 
     def test_json_output_deterministic(self, capsys):
         argv = ("hexagon", "spin_half_x", "u_x", "d_x")

@@ -17,8 +17,8 @@ from qopposition.quantum import (And, Literal, Or, OrthoFamily, QuantumError, St
                                  leaves, truth, minimal_attribution)
 from qopposition.scenarios import BUILTIN_NAMES, builtin
 
-from helpers import (apply_unitary_literal, apply_unitary_subspace, haar_unitary,
-                     random_literal, random_state, random_subspace)
+from helpers import (BAD_EPS, BAD_EPS_IDS, apply_unitary_literal, apply_unitary_subspace,
+                     haar_unitary, random_literal, random_state, random_subspace)
 
 R2 = 1.0 / math.sqrt(2.0)
 # a Subaltern's direction under swapping the pair, or negating both sides
@@ -407,9 +407,13 @@ class TestRefusals:
         # a pair with no leaf has no ambient dimension to decide in
         (lambda u: classify(Or(()), Or(())), QuantumError),
         (lambda u: random_witness_search([], [], 0), QuantumError),
+        # eps is checked before the first sample, hit or miss
+        *[(lambda u, eps=eps: random_witness_search((u, u), (True, True), 1, 100, eps),
+           ValueError) for eps in BAD_EPS],
     ], ids=["classify-non-proposition", "classify-and-none-part",
             "entails-non-proposition", "square-non-proposition",
-            "search-non-proposition", "classify-no-leaf", "search-no-leaf"])
+            "search-non-proposition", "classify-no-leaf", "search-no-leaf",
+            *(f"search-eps-{i}" for i in BAD_EPS_IDS)])
     def test_refused_input_raises_its_type(self, u_x, make, error):
         with pytest.raises(error) as exc:
             make(u_x)

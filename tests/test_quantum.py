@@ -50,7 +50,7 @@ class TestState:
     def test_normalized_below_the_square_underflow(self, tiny):
         # the squares of these components are subnormal or zero; the norm
         # rescales by the largest component instead of losing their bits
-        psi = State.normalized([tiny, 0], eps=1e-15)
+        psi = State.normalized([tiny, 0], eps=1e-13)
         assert abs(psi.vector[0] - 1) <= 2e-16 and psi.vector[1] == 0
 
     @pytest.mark.parametrize("vector", [[1.5e308, 1.5e308], [1e308, 1.5e308j, -1e308]])
