@@ -18,7 +18,6 @@ Output formats: text (default), json (canonical, byte-stable), dot
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -292,15 +291,6 @@ def _lp_flags(p) -> None:
                    help="list every designating valuation")
 
 
-def _quiet_overflow(args):
-    """np.errstate(over="ignore") for a command that loads a scenario, since
-    _norm's first sum overflows above ~1e154; the others need no numpy."""
-    if "scenario" not in args and "name" not in args:
-        return contextlib.nullcontext()
-    import numpy as np
-    return np.errstate(over="ignore")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -309,8 +299,7 @@ def main(argv=None) -> int:
         # refused before anything is loaded or run
         if args.format == "dot" and getattr(args, "op", None) not in ("square", "hexagon"):
             raise CliError("dot output is only available for square/hexagon")
-        with _quiet_overflow(args):
-            status = args.func(args)
+        status = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return status
     except ValueError as exc:  # every refused input; the library's errors included

@@ -58,9 +58,15 @@ def _norm(x: np.ndarray) -> float:
     return m * _norm(np.abs(x) / m) if 0.0 < m < math.inf else math.sqrt(s)
 
 
-def _unit(v: np.ndarray, n: float) -> np.ndarray:
-    """v / n for n = _norm(v) > 0; both scaled by 2^1022 first where 1/n overflows."""
-    return v * 2.0 ** 1022 / (n * 2.0 ** 1022) if n < sys.float_info.min else v / n
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """v where m = max |v_i| lies in (2^-280, 2^280); else v times two exact
+    powers of two (2^1073 alone overflows) that bring min(m, max double) into [1/2, 1)."""
+    m = float(np.abs(v).max())
+    if 2.0 ** -280 < m < 2.0 ** 280:
+        return v
+    h = -math.frexp(min(m, sys.float_info.max))[1]
+    parts = np.ascontiguousarray(v).view(float)  # a complex product can turn -0.0 to +0.0
+    return (parts * 2.0 ** (h // 2) * 2.0 ** (h - h // 2)).view(complex)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -154,20 +160,16 @@ class Subspace:
 
     def contains(self, v, eps: float = EPS) -> bool:
         """Membership: residual of v against the subspace below eps*|v|,
-        at every scale: where max |v_i| (at most the largest double)
-        lies outside 2^(+-280), v is first scaled into [1/2, 1) by two exact
-        powers of two, as 2^1073 overflows.  The zero vector is refused."""
+        at every scale, as v is first `_scaled`.  The zero vector is refused."""
         check_eps(eps)
         v = as_vector(v)
         if v.size != self.ambient_dim:
             raise DimensionMismatch(f"vector dim {v.size} vs ambient {self.ambient_dim}")
-        m = float(np.max(np.abs(v)))
-        if m == 0.0:
+        v = _scaled(v)
+        q = float(np.vdot(v, v).real)  # at least 2^-560 unless v is zero
+        if q == 0.0:
             raise ValueError("membership is undefined for the zero vector")
-        if not 2.0 ** -280 < m < 2.0 ** 280:
-            h = -math.frexp(min(m, sys.float_info.max))[1]
-            v = v * 2.0 ** (h // 2) * 2.0 ** (h - h // 2)
-        return self._contains(v, eps * eps * float(np.vdot(v, v).real))
+        return self._contains(v, eps * eps * q)
 
     def _contains(self, v: np.ndarray, bound: float) -> bool:
         """The membership kernel: |v - B B^H v|^2 below bound = eps^2 |v|^2;
@@ -235,8 +237,9 @@ class Subspace:
 
 
 def gram_schmidt(vectors, eps: float = EPS) -> Subspace:
-    """Orthonormalize (modified Gram-Schmidt).  A vector whose residual is
-    at most eps times its own norm (the rule of `contains`) is dropped,
+    """Orthonormalize (modified Gram-Schmidt) the `_scaled` vectors, so no
+    norm is subnormal and 2^k v gives the bits of v.  A vector whose residual
+    is at most eps times its own norm (the rule of `contains`) is dropped,
     zero vectors included.  The input list must be nonempty (the zero
     subspace is requested through Subspace.zero, which carries the ambient
     dimension explicitly)."""
@@ -248,12 +251,12 @@ def gram_schmidt(vectors, eps: float = EPS) -> Subspace:
     if any(v.size != n for v in vecs):
         raise DimensionMismatch("vectors do not share a dimension")
     basis: list[np.ndarray] = []
-    for v in vecs:
-        w = v.copy()
+    for v in map(_scaled, vecs):
+        w = v
         for _ in range(2):  # one re-orthogonalization pass for stability
             for b in basis:
                 w = w - np.vdot(b, w) * b
         r = _norm(w)
         if r > eps * _norm(v):
-            basis.append(_unit(w, r))
+            basis.append(w / r)
     return Subspace(n, np.column_stack(basis) if basis else None, eps)

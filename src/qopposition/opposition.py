@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EPS, _norm, _unit, check_eps
+from .linalg import EPS, _norm, check_eps
 from .quantum import (And, Or, Proposition, State, ambient_dim_of, evaluate,
                       leaves, truth)
 
@@ -99,9 +99,9 @@ def _candidates(basis: np.ndarray, k: int):
         nodes = k * d + 1
         for t in range(nodes):
             c = np.exp(2j * np.pi * t / nodes * np.arange(d))
-            c = _unit(c, _norm(c))
+            c = c / _norm(c)
             v = sum(x * basis[:, m] for m, x in enumerate(c))
-            yield _unit(v, _norm(v))
+            yield v / _norm(v)
 
 
 def _patterns(props, eps: float):

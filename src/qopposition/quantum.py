@@ -15,7 +15,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .linalg import (EPS, DimensionMismatch, Subspace, _norm, _unit, as_vector,
+from .linalg import (EPS, DimensionMismatch, Subspace, _norm, _scaled, as_vector,
                      as_matrix, check_eps, hermitian_eig, is_hermitian)
 
 
@@ -41,13 +41,12 @@ class State:
 
     @staticmethod
     def normalized(vector, eps: float = EPS) -> "State":
-        v = as_vector(vector)
+        """vector / its norm, `_scaled` first: 2^k v gives the bits of v."""
+        v = _scaled(as_vector(vector))
         n = _norm(v)
         if n == 0.0:
             raise QuantumError("cannot normalize a (near-)zero vector")
-        if n == np.inf:  # finite components whose norm is not a double
-            raise QuantumError("cannot normalize a vector whose norm overflows")
-        return State(_unit(v, n), eps)
+        return State(v / n, eps)
 
     def __repr__(self):
         return f"State({self.vector.tolist()})"
@@ -207,9 +206,9 @@ def truth(p: Proposition, psi: State, eps: float = EPS) -> bool:
 
 
 def superpose(coefficients, states, eps: float = EPS) -> State:
-    """Normalized linear combination of states.  Raises on overflow (a norm
-    that is not finite) and on cancellation: a norm at most eps times the sum
-    of the |c_i| (unit states make the rule scale-free, like contains)."""
+    """Normalized linear combination of states.  Raises on a coefficient that
+    is not finite and on cancellation: a norm at most eps times the sum of the
+    |c_i|, a rule that unit states make scale-free, so c is `_scaled` first."""
     coefficients = [complex(c) for c in coefficients]
     states = list(states)
     if not states or len(coefficients) != len(states):
@@ -217,14 +216,13 @@ def superpose(coefficients, states, eps: float = EPS) -> State:
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise DimensionMismatch(f"states mix dimensions {dims}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        v = sum(c * s.vector for c, s in zip(coefficients, states))
-        n = _norm(v)
-        if not n < np.inf:
-            raise QuantumError(f"superposition overflows: its norm is {n}")
-        if n <= eps * sum(map(abs, coefficients)):
-            raise QuantumError("superposition cancels to the zero vector")
-        return State.normalized(v, eps)
+    if not np.isfinite(coefficients).all():
+        raise QuantumError(f"coefficients must be finite, got {coefficients}")
+    c = _scaled(np.array(coefficients)).tolist()
+    v = sum(x * s.vector for x, s in zip(c, states))
+    if _norm(v) <= eps * sum(map(abs, c)):
+        raise QuantumError("superposition cancels to the zero vector")
+    return State.normalized(v, eps)
 
 
 def born(psi: State, s: Subspace) -> float:
@@ -241,19 +239,22 @@ def minimal_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> se
 
 
 def paraconsistent_attribution(psi: State, family: OrthoFamily, eps: float = EPS) -> set:
-    """Labels of every member present in the superposition (Born weight
-    above eps), regardless of how skewed the weights are."""
+    """Labels of every member present in the superposition, regardless of
+    how skewed the weights are: Born weight at least eps^2, so the state is
+    not inside the member's orthocomplement by the rule of `contains`."""
     check_eps(eps)
-    return {lab for lab, sub in family.members if born(psi, sub) > eps}
+    return {lab for lab, sub in family.members if born(psi, sub) >= eps * eps}
 
 
 def family_from_observable(obs: Observable, eps: float = EPS) -> OrthoFamily:
     """Eigenspace decomposition of an observable: one member per distinct
-    eigenvalue (values within eps merged), labeled by the eigenvalue,
-    ascending."""
+    eigenvalue (values within eps merged), ascending, labeled by their mean
+    at the fewest significant digits, 6 (as :g) up to 17, that tell all apart."""
     evals, vecs = hermitian_eig(obs.matrix, eps)
     # a group ends wherever the next eigenvalue is at least eps higher
     cuts = [0, *(np.flatnonzero(np.diff(evals) >= eps) + 1), len(evals)]
-    members = [(f"{float(np.mean(evals[i:j])):g}", Subspace(obs.dim, vecs[:, i:j], eps))
-               for i, j in zip(cuts, cuts[1:])]
+    means = [float(np.mean(evals[i:j])) for i, j in zip(cuts, cuts[1:])]
+    d = next((d for d in range(6, 17) if len({f"{m:.{d}g}" for m in means}) == len(means)), 17)
+    members = [(f"{m:.{d}g}", Subspace(obs.dim, vecs[:, i:j], eps))
+               for m, i, j in zip(means, cuts, cuts[1:])]
     return OrthoFamily(obs.dim, members, eps)

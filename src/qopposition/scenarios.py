@@ -182,41 +182,45 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
         raise ScenarioError(f"'dim' must be an integer in 1..{MAX_DIM}, got {dim!r}")
     sc = Scenario(name=str(doc["name"]), dim=dim)
 
-    for sname, raw in sorted(_section(doc, "states").items()):
-        v = np.array(_vec_in(raw, dim, f"state {sname!r}"))
-        n = _norm(v)
-        if n == 0.0:
-            raise ScenarioError(f"state {sname!r} is (near-)zero and cannot be normalized")
-        if abs(n - 1.0) <= eps:
-            # already unit within tolerance: keep the components bit-exact
-            sc.states[sname] = State(v, eps)
-        else:
-            sc.warnings.append(f"state {sname!r} renormalized (norm was {n:.6g})")
-            sc.states[sname] = State.normalized(v, eps)
+    # on the way to a rescale or a refusal, _norm's sum of squares (a state above
+    # ~1e154), is_hermitian's A - A^H and the Subspace constructor's Gram matrix overflow
+    with np.errstate(over="ignore"):
+        for sname, raw in sorted(_section(doc, "states").items()):
+            v = np.array(_vec_in(raw, dim, f"state {sname!r}"))
+            n = _norm(v)
+            if n == 0.0:
+                raise ScenarioError(f"state {sname!r} is (near-)zero and cannot be normalized")
+            if abs(n - 1.0) <= eps:
+                # already unit within tolerance: keep the components bit-exact
+                sc.states[sname] = State(v, eps)
+            else:
+                sc.warnings.append(f"state {sname!r} renormalized (norm was {n:.6g})")
+                sc.states[sname] = State.normalized(v, eps)
 
-    for oname, rows in sorted(_section(doc, "observables").items()):
-        if not isinstance(rows, list) or len(rows) != dim:
-            raise ScenarioError(f"observable {oname!r}: expected {dim} rows")
-        m = np.array([_vec_in(r, dim, f"observable {oname!r} row") for r in rows])
-        sc.observables[oname] = Observable(m, oname, eps)
+        for oname, rows in sorted(_section(doc, "observables").items()):
+            if not isinstance(rows, list) or len(rows) != dim:
+                raise ScenarioError(f"observable {oname!r}: expected {dim} rows")
+            m = np.array([_vec_in(r, dim, f"observable {oname!r} row") for r in rows])
+            sc.observables[oname] = Observable(m, oname, eps)
 
-    for fname, raw_fam in sorted(_section(doc, "families").items()):
-        if not (isinstance(raw_fam, dict) and isinstance(raw_fam.get("members"), list)):
-            raise ScenarioError(f"family {fname!r}: expected a 'members' list")
-        members = []
-        for entry in raw_fam["members"]:
-            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
-                raise ScenarioError(f"family {fname!r}: members are [label, vectors] pairs")
-            label, vecs = entry
-            basis = [_vec_in(v, dim, f"family {fname!r} member {label!r}") for v in vecs]
-            try:
-                # a basis the constructor accepts (no vectors: the zero subspace)
-                # keeps its bits, so serialize(load(text)) reproduces text byte for byte
-                sub = Subspace(dim, np.column_stack(basis) if basis else None, eps)
-            except ValueError:
-                sub = gram_schmidt(basis, eps)
-            members.append((str(label), sub))
-        sc.families[fname] = OrthoFamily(dim, members, eps)
+        for fname, raw_fam in sorted(_section(doc, "families").items()):
+            if not (isinstance(raw_fam, dict) and isinstance(raw_fam.get("members"), list)):
+                raise ScenarioError(f"family {fname!r}: expected a 'members' list")
+            members = []
+            for entry in raw_fam["members"]:
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and isinstance(entry[1], list)):
+                    raise ScenarioError(f"family {fname!r}: members are [label, vectors] pairs")
+                label, vecs = entry
+                basis = [_vec_in(v, dim, f"family {fname!r} member {label!r}") for v in vecs]
+                try:
+                    # a basis the constructor accepts (no vectors: the zero subspace)
+                    # keeps its bits, so serialize(load(text)) reproduces text byte for byte
+                    sub = Subspace(dim, np.column_stack(basis) if basis else None, eps)
+                except ValueError:
+                    sub = gram_schmidt(basis, eps)
+                members.append((str(label), sub))
+            sc.families[fname] = OrthoFamily(dim, members, eps)
 
     for pname, raw in sorted(_section(doc, "propositions").items()):
         p = _parse_prop(raw, sc, pname)

@@ -22,6 +22,24 @@ def random_state(n, rng):
     return State.normalized(z)
 
 
+def complex_parts(rng, n):
+    """n complex numbers whose real and imaginary parts are each standard
+    normal or, with probability 1/4, a zero of either sign."""
+    parts = rng.standard_normal((n, 2))
+    return np.where(rng.random((n, 2)) < 0.25, 0.0 * parts, parts).view(complex)[:, 0]
+
+
+def normal_scalings(*arrays):
+    """(k, [2^k a for a in arrays]) for every k at which every nonzero real
+    and imaginary part of every 2^k a is a normal double, from the subnormal
+    end to the overflow end; each part is scaled exactly by np.ldexp."""
+    parts = [np.array(a, complex).view(float) for a in arrays]
+    flat = np.concatenate(parts)
+    e = np.frexp(flat[flat != 0])[1]
+    for k in range(-1021 - int(e.min()), 1025 - int(e.max())):
+        yield k, [np.ldexp(p, k).view(complex) for p in parts]
+
+
 def haar_unitary(n, rng):
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

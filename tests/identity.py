@@ -308,8 +308,9 @@ AREAS = [area_hermitian_eig, area_gram_schmidt, area_intersect, area_intersect_b
 def main() -> None:
     total = hashlib.sha256()
     start = time.perf_counter()
-    # as in qopp: _norm's plain sum of squares overflows above about 1e154
-    # before it rescales, and numpy would warn on the way
+    # for checkouts whose gram_schmidt takes norms of unscaled vectors, as
+    # this corpus is compared against older ones: there _norm's plain sum of
+    # squares overflows at 2^1000 before it rescales, and numpy would warn
     np.seterr(over="ignore")
     for area in AREAS:
         digest, count = hashlib.sha256(), 0

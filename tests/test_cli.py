@@ -213,7 +213,8 @@ class TestProbAttribute:
         assert out.endswith("probabilities:\n  a: 0.5\n  b: 0.5\ntotal: 1\n")
 
     def test_state_whose_norm_overflows_is_refused_as_such(self, capsys, tmp_path):
-        # finite components, but the norm is not a double: said so, not "norm 0.0"
+        # finite components whose norm is no double: the state is scaled by
+        # powers of two before it is normalized, so it is not refused
         doc = {"name": "t", "dim": 2, "states": {"big": [[1.5e308, 0], [1.5e308, 0]]},
                "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
                                               ["b", [[[0, 0], [1, 0]]]]]}}}
@@ -222,8 +223,23 @@ class TestProbAttribute:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run(capsys, "prob", str(path), "big", "f")
-        assert code == EXIT_USAGE and out == ""
-        assert err == "error: cannot normalize a vector whose norm overflows\n"
+        assert code == EXIT_OK and err == ""
+        assert out.endswith("probabilities:\n  a: 0.5\n  b: 0.5\ntotal: 1\n")
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320])
+    def test_subnormal_state_is_normalized(self, capsys, tmp_path, tiny):
+        # its norm, taken unscaled, is subnormal and keeps a few bits, so that
+        # dividing by it leaves "norm 1.0001286688480586": it is scaled first
+        doc = {"name": "t", "dim": 2, "states": {"tiny": [[tiny, 0], [tiny, 0]]},
+               "families": {"f": {"members": [["a", [[[1, 0], [0, 0]]]],
+                                              ["b", [[[0, 0], [1, 0]]]]]}}}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "prob", str(path), "tiny", "f")
+        assert code == EXIT_OK and err == ""
+        assert out.endswith("probabilities:\n  a: 0.5\n  b: 0.5\ntotal: 1\n")
 
     @pytest.mark.parametrize("eps, code", [("1e-6", EXIT_OK), (None, EXIT_USAGE)],
                              ids=["eps-1e-6", "default-eps"])

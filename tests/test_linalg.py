@@ -9,8 +9,8 @@ from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
                                 gram_schmidt, hermitian_eig, is_hermitian)
 from qopposition.quantum import Observable, State, family_from_observable
 
-from helpers import (BAD_EPS, BAD_EPS_IDS, haar_unitary, random_hermitian, random_subspace,
-                     random_state)
+from helpers import (BAD_EPS, BAD_EPS_IDS, complex_parts, haar_unitary, normal_scalings,
+                     random_hermitian, random_subspace, random_state)
 
 R2 = 1.0 / math.sqrt(2.0)
 _SVD = np.linalg.svd
@@ -32,14 +32,14 @@ class TestGramSchmidt:
         expected = np.array([[R2, R2], [R2, -R2]]).T
         assert np.allclose(np.abs(s.basis.conj().T @ expected), np.eye(2))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vectors, dim", [
         ([[1e-10, 0]], 1),  # tiny but independent: kept
         ([[1e6, 0], [1e6, 1e-4]], 1),  # contains puts the second in the first line
         ([[0, 0], [1, 0]], 1),  # a zero vector is dropped, not divided by zero
-        ([[1e-170, 0]], 1),  # its square underflows; the rescaled norm keeps it
-        ([[1e200, 0], [1e200, 1e195]], 2),  # squares overflow; residual 1e195 > eps·1e200
-        ([[1e-310, 0]], 1),  # subnormal norm: 1/r overflows unless rescaled
+        ([[1e-170, 0]], 1),  # scaled first, as its square would underflow
+        ([[1e200, 0], [1e200, 1e195]], 2),  # scaled first; residual 1e195 > eps·1e200
+        ([[1e-310, 0]], 1),  # subnormal: scaled by powers of two before its norm
         ([[5e-324, 0]], 1),  # the smallest subnormal
     ], ids=[f"vectors{i}" for i in range(7)])
     def test_drops_by_the_relative_rule_of_contains(self, vectors, dim):
@@ -50,6 +50,23 @@ class TestGramSchmidt:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             gram_schmidt([])
+
+    def test_nearly_dependent_subnormal_pair_spans_the_plane(self):
+        # the second residual, about 1e-6 s, would be subnormal and keep a few
+        # bits; scaled first, the pair is the one at scale 1
+        s = 2.0 ** -1030
+        assert gram_schmidt([[s, s], [s, s * (1 + 1e-6)]]).dim == 2
+
+    def test_basis_is_scale_free(self):
+        # 2^k times every vector gives the basis bytes of k = 0 at every k at
+        # which every nonzero part is a normal double, zeros of either sign included
+        rng = np.random.default_rng(73)
+        for n in range(1, 9):
+            vecs = [complex_parts(rng, n) for _ in range(int(rng.integers(1, n + 2)))]
+            vecs.append(vecs[0] * 2 + 1e-7 * complex_parts(rng, n))  # nearly dependent
+            want = gram_schmidt(vecs).basis.tobytes()
+            for k, scaled in normal_scalings(*vecs):
+                assert gram_schmidt(scaled).basis.tobytes() == want, (n, k)
 
     def test_nearly_parallel_vectors_come_out_orthonormal(self):
         # [1, 1, 1] + 1e-8 e_i: one orthogonalization pass leaves the output
@@ -293,8 +310,8 @@ class TestSubspaceCalculus:
 
 class TestMembershipKernel:
     def test_norm_is_numpys_bit_for_bit(self):
-        # State, _unit, superpose, born, gram_schmidt and the loader take
-        # norms with _norm; it must give np.linalg.norm's exact value, on
+        # State, superpose, born, gram_schmidt and the loader take norms
+        # with _norm; it must give np.linalg.norm's exact value, on
         # contiguous vectors and on strided column views, and numpy's inf or
         # nan on non-finite components, also beside tiny or huge finite ones
         rng = np.random.default_rng(41)

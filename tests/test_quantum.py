@@ -10,7 +10,10 @@ from qopposition.quantum import (And, Literal, Observable, Or, OrthoFamily,
                                  family_from_observable, minimal_attribution,
                                  paraconsistent_attribution, superpose, truth)
 
-from helpers import BAD_EPS, BAD_EPS_IDS, apply_unitary_subspace, haar_unitary, random_state
+from qopposition.scenarios import BUILTIN_NAMES, EPS, builtin
+
+from helpers import (BAD_EPS, BAD_EPS_IDS, apply_unitary_subspace, complex_parts, haar_unitary,
+                     normal_scalings, random_state)
 
 R2 = 1.0 / math.sqrt(2.0)
 UP_X = State([R2, R2])
@@ -39,8 +42,8 @@ class TestState:
         # only the zero vector is refused, whatever the scale
         assert np.array_equal(State.normalized([1e-10, 0]).vector, [1, 0])
         assert State.normalized([1e-160, 0]).vector.tolist() == [1, 0]
-        # subnormal norms: 1/n would overflow, so the vector is first
-        # scaled by an exact power of two
+        # subnormal components: the vector is first scaled by exact powers
+        # of two, so no norm is subnormal and 1/n never overflows
         assert State.normalized([5e-324, 0]).vector.tolist() == [1, 0]
         assert State.normalized([1e-310, 0]).vector.tolist() == [1, 0]
         with pytest.raises(QuantumError, match="zero"):
@@ -48,23 +51,44 @@ class TestState:
 
     @pytest.mark.parametrize("tiny", [1e-155, 1e-160, 1e-300])
     def test_normalized_below_the_square_underflow(self, tiny):
-        # the squares of these components are subnormal or zero; the norm
-        # rescales by the largest component instead of losing their bits
+        # the squares of these components would be subnormal or zero; the
+        # vector is scaled into [1/2, 1) by powers of two before its norm is taken
         psi = State.normalized([tiny, 0], eps=1e-13)
         assert abs(psi.vector[0] - 1) <= 2e-16 and psi.vector[1] == 0
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vector", [[1.5e308, 1.5e308], [1e308, 1.5e308j, -1e308]])
     def test_normalized_refuses_a_norm_that_overflows(self, vector):
-        # finite components whose norm is no double: dividing by inf would
-        # leave the zero vector, refused as "norm 0.0, expected 1"
-        with np.errstate(over="ignore"), pytest.raises(QuantumError, match="overflows"):
-            State.normalized(vector)
+        # finite components whose norm is no double are normalized, not
+        # refused: the vector is scaled by 2^-1024 first, and no numpy warning
+        v = np.array(vector, complex) * 2.0 ** -1024
+        assert State.normalized(vector).vector.tobytes() == (v / _norm(v)).tobytes()
 
+    @pytest.mark.filterwarnings("error")
     def test_normalized_keeps_the_bits_of_a_finite_norm(self):
-        v = np.array([1e308, 1e308, 1e307j])
-        with np.errstate(over="ignore"):
-            n = _norm(v)
-            assert n < math.inf and State.normalized(v).vector.tobytes() == (v / n).tobytes()
+        # a finite norm of a vector above 2^280 is taken after the same
+        # power-of-two scaling, not of the vector as given
+        big = np.array([1e308, 1e308, 1e307j])
+        v = big * 2.0 ** -1024
+        assert State.normalized(big).vector.tobytes() == (v / _norm(v)).tobytes()
+
+    def test_subnormal_components_normalize_to_equal_components(self):
+        # their norm, taken unscaled, is subnormal and keeps a few bits
+        for tiny in (5e-324, 1e-320):
+            psi = State.normalized([tiny, tiny])
+            assert psi.vector[0] == psi.vector[1] == State.normalized([1, 1]).vector[0]
+
+    def test_normalized_is_scale_free(self):
+        # 2^k v gives the bytes of v at every k at which every nonzero part
+        # of 2^k v is a normal double, from the subnormal end to the overflow
+        # end; zero parts of either sign included
+        rng = np.random.default_rng(67)
+        vectors = [complex_parts(rng, n) for n in range(1, 17)]
+        vectors += [np.array([3, -7j, 0, 1 + 2j]), np.array([1e-3, 1e3j])]
+        for v in vectors:
+            want = State.normalized(v).vector.tobytes()
+            for k, (w,) in normal_scalings(v):
+                assert State.normalized(w).vector.tobytes() == want, k
 
 
 class TestSuperpose:
@@ -99,14 +123,34 @@ class TestSuperpose:
             superpose([1, 1], [UP_Z, State([1, 0, 0])])
 
     @pytest.mark.filterwarnings("error")  # numpy's overflow in the sum is no warning
-    @pytest.mark.parametrize("coefficients", [[1e308, 1e308], [1.5e308, 1.5e308j],
-                                              [math.inf], [math.nan], [math.inf, -math.inf]],
+    @pytest.mark.parametrize("coefficients, refused",
+                             [([1e308, 1e308], False), ([1.5e308, 1.5e308j], False),
+                              ([math.inf], True), ([math.nan], True),
+                              ([math.inf, -math.inf], True)],
                              ids=["sum-overflows", "modulus-overflows", "inf", "nan",
                                   "inf-minus-inf"])
-    def test_non_finite_combination_overflows(self, coefficients):
-        # refused before the cancellation test, which inf <= eps * inf would pass
-        with pytest.raises(QuantumError, match="overflows"):
-            superpose(coefficients, [UP_Z] * len(coefficients))
+    def test_non_finite_combination_overflows(self, coefficients, refused):
+        # finite coefficients are scaled by powers of two first, so their sum
+        # cannot overflow; a coefficient that is not finite is refused
+        # before the cancellation test, which inf <= eps * inf would pass
+        states = [UP_Z] * len(coefficients)
+        if refused:
+            with pytest.raises(QuantumError, match="coefficients must be finite"):
+                superpose(coefficients, states)
+        else:
+            small = [c * 2.0 ** -1024 for c in coefficients]
+            assert (superpose(coefficients, states).vector.tobytes()
+                    == superpose(small, states).vector.tobytes())
+
+    def test_superpose_is_scale_free(self):
+        # 2^k c gives the bytes of c wherever every nonzero part of 2^k c is normal
+        rng = np.random.default_rng(71)
+        for n, k in ((1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (5, 4), (8, 8), (16, 3)):
+            states = [random_state(n, rng) for _ in range(k)]
+            c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            want = superpose(c, states).vector.tobytes()
+            for j, (w,) in normal_scalings(c):
+                assert superpose(w, states).vector.tobytes() == want, j
 
 
 class TestBorn:
@@ -200,6 +244,29 @@ class TestAttribution:
             mi = minimal_attribution(psi, fam)
             assert mi and mi == paraconsistent_attribution(psi, fam)
 
+    def test_presence_is_the_membership_threshold(self):
+        # psi = u + a v for unit u, v in two members: minimal finds no member
+        # (psi is outside u's member) exactly when paraconsistent finds both
+        # (v's Born weight a^2 / (1 + a^2) is at least eps^2), on every
+        # two-member builtin family, with a log-spread over [1e-12, 1e-2]
+        rng = np.random.default_rng(79)
+        families = [fam for name in BUILTIN_NAMES for fam in builtin(name).families.values()
+                    if len(fam.members) == 2]
+        assert len(families) == 4
+        checked = 0
+        for fam in families:
+            for (lu, su), (lv, sv) in (fam.members, fam.members[::-1]):
+                for a in 10.0 ** rng.uniform(-12, -2, 100):
+                    if abs(a - EPS) <= 1e-6 * EPS:
+                        continue
+                    phase = np.exp(2j * np.pi * rng.random())
+                    psi = State.normalized(su.basis[:, 0] + a * phase * sv.basis[:, 0])
+                    want = (set(), {lu, lv}) if a > EPS else ({lu}, {lu})
+                    got = minimal_attribution(psi, fam), paraconsistent_attribution(psi, fam)
+                    assert got == want, (fam, lu, a)
+                    checked += 1
+        assert checked == 800
+
     @pytest.mark.parametrize("semantics", [minimal_attribution, paraconsistent_attribution])
     def test_state_of_the_wrong_dimension_is_refused(self, semantics):
         with pytest.raises(DimensionMismatch):
@@ -275,6 +342,38 @@ class TestFamilyFromObservable:
         fam = family_from_observable(Observable(np.diag(spectrum), "D"))
         assert fam.labels == labels
         assert [s.dim for _, s in fam.members] == dims
+
+    @pytest.mark.parametrize("spectrum, labels", [
+        ([1, 1 + 1e-8, 2], ["1", "1.00000001", "2"]),  # at :g, '1' twice
+        ([1e6, 1e6 + 0.5], ["1000000", "1000000.5"]),
+        ([-3e-3, -3e-3 + 2e-9, 5], ["-0.003", "-0.002999998", "5"]),
+        ([0.1, 0.1 + 2 ** -29, 0.1 + 2 ** -28], ["0.1", "0.100000002", "0.100000004"]),
+    ])
+    def test_labels_take_the_digits_that_tell_them_apart(self, spectrum, labels):
+        # eigenvalues split at gaps of eps, which 6 significant digits can
+        # merge into one label; every label gets the fewest digits that part them
+        assert family_from_observable(Observable(np.diag(spectrum), "D")).labels == labels
+
+    def test_labels_that_differ_at_6_digits_keep_their_bytes(self):
+        # three separated eigenvalues and one more at 1.3e-9..1e-2 above the
+        # first: the labels are :g's wherever those differ, and differ always
+        rng = np.random.default_rng(83)
+        kept = moved = 0
+        while kept + moved < 300:
+            base = np.round(rng.uniform(-50, 50, 3), int(rng.integers(0, 4)))
+            if len(set(base)) < 3:
+                continue
+            spectrum = np.append(base, base[0] + 10.0 ** rng.uniform(-8.9, -2))
+            evals, _ = hermitian_eig(np.diag(spectrum))
+            labels = family_from_observable(Observable(np.diag(spectrum), "D")).labels
+            g = [f"{x:g}" for x in evals]
+            assert len(set(labels)) == 4
+            if len(set(g)) == 4:
+                assert labels == g
+                kept += 1
+            else:
+                moved += 1
+        assert kept > 100 and moved > 50
 
     def test_member_bases_are_the_eigenvectors(self):
         # each member's basis is its block of hermitian_eig's columns, bit

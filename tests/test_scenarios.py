@@ -6,7 +6,7 @@ import pytest
 
 from qopposition import lp
 from qopposition.linalg import Subspace
-from qopposition.quantum import And, Literal, Or, OrthoFamily, State, superpose
+from qopposition.quantum import And, Literal, Or, OrthoFamily, QuantumError, State, superpose
 from qopposition.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError, builtin,
                                    canonical_json, load_scenario, run_all,
                                    run_query, serialize)
@@ -243,6 +243,24 @@ class TestLoading:
         a = load_scenario(json.dumps(doc)).families["f"].subspace("a")
         assert (a.basis[0, 0] == s) == exact and abs(a.basis[0, 0] - 1) < 1e-9
         assert a.contains(a.basis[:, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_load_without_a_numpy_warning(self):
+        # each overflows numpy on the way to a rescale or a refusal, which the
+        # loader keeps quiet for every caller, not only for qopp
+        axes = {"f": {"members": [["a", [[[1, 0], [0, 0]]]], ["b", [[[0, 0], [1, 0]]]]]}}
+        big_state = {"name": "t", "dim": 2, "states": {"s": [[1e200, 0], [1e200, 0]]},
+                     "families": axes}
+        sc = load_scenario(json.dumps(big_state))
+        assert sc.states["s"].vector.tobytes() == State.normalized([1, 1]).vector.tobytes()
+        big_member = {"name": "t", "dim": 2, "families": {"f": {"members": [
+            ["a", [[[1e200, 0], [1e200, 0]]]], ["b", [[[1e200, 0], [-1e200, 0]]]]]}}}
+        f = load_scenario(json.dumps(big_member)).families["f"]
+        assert f.subspace("a").contains([1, 1]) and f.subspace("b").contains([1, -1])
+        skew = {"name": "t", "dim": 2,
+                "observables": {"X": [[[0, 0], [1.7e308, 0]], [[-1.7e308, 0], [0, 0]]]}}
+        with pytest.raises(QuantumError, match="'X' is not Hermitian"):
+            load_scenario(json.dumps(skew))
 
     def test_zero_state_rejected(self):
         doc = {"name": "t", "dim": 2,
