@@ -82,13 +82,14 @@ def as_matrix(m) -> np.ndarray:
 
 def is_hermitian(m, eps: float = EPS) -> bool:
     check_eps(eps)
-    a = as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T))) < eps
+    a = as_matrix(m) / 2.0  # by halves, exact on normal doubles: A - A^H cannot overflow
+    return float(np.max(np.abs(a - a.conj().T))) < eps / 2.0
 
 
 def hermitian_eig(m, eps: float = EPS):
     """Eigendecomposition of a Hermitian matrix by LAPACK (np.linalg.eigh)
-    on its symmetrized form.
+    on its symmetrized form, taken by halves (exact on normal doubles) so
+    that it cannot overflow; a spectrum that is not finite is refused.
 
     Returns (eigenvalues, eigenvectors): eigenvalues ascending as a real
     array, eigenvectors as columns of a unitary matrix, each column times
@@ -103,9 +104,11 @@ def hermitian_eig(m, eps: float = EPS):
     a = as_matrix(m)
     n = a.shape[0]
     try:
-        evals, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+        evals, v = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed: {exc}") from None
+    if not np.isfinite(evals).all():
+        raise LinalgError("matrix has an eigenvalue beyond the double range")
     size = np.hypot(v.real, v.imag)
     first = np.argmax(size > eps, axis=0), np.arange(n)
     vecs = v * (size[first] / v[first])
@@ -133,7 +136,7 @@ class Subspace:
         if basis.ndim != 2 or basis.shape[0] != ambient_dim:
             raise DimensionMismatch(
                 f"basis shape {basis.shape} incompatible with ambient dim {ambient_dim}")
-        if basis.shape[1] > ambient_dim:
+        if basis.shape[1] > ambient_dim:  # the rule below refuses it too, at k^2 memory
             raise ValueError("basis has more vectors than the ambient dimension")
         self._bh = basis.conj().T
         if basis.shape[1] and not np.vdot(

@@ -15,7 +15,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .linalg import (EPS, DimensionMismatch, Subspace, _norm, _scaled, as_vector,
+from .linalg import (EPS, MAX_DIM, DimensionMismatch, Subspace, _norm, _scaled, as_vector,
                      as_matrix, check_eps, hermitian_eig, is_hermitian)
 
 
@@ -29,6 +29,8 @@ class State:
     def __init__(self, vector, eps: float = EPS):
         check_eps(eps)
         v = as_vector(vector)
+        if _scaled(v) is not v:  # no unit vector has a part above 2^280 or all below 2^-280
+            raise QuantumError("state vector is out of range: its norm is far from 1")
         n = _norm(v)
         if abs(n - 1.0) > eps:
             raise QuantumError(f"state vector has norm {n}, expected 1")
@@ -251,9 +253,10 @@ def family_from_observable(obs: Observable, eps: float = EPS) -> OrthoFamily:
     eigenvalue (values within eps merged), ascending, labeled by their mean
     at the fewest significant digits, 6 (as :g) up to 17, that tell all apart."""
     evals, vecs = hermitian_eig(obs.matrix, eps)
+    part = evals / MAX_DIM  # exact, a power of two: its gaps and sums cannot overflow
     # a group ends wherever the next eigenvalue is at least eps higher
-    cuts = [0, *(np.flatnonzero(np.diff(evals) >= eps) + 1), len(evals)]
-    means = [float(np.mean(evals[i:j])) for i, j in zip(cuts, cuts[1:])]
+    cuts = [0, *(np.flatnonzero(np.diff(part) >= eps / MAX_DIM) + 1), len(evals)]
+    means = [float(np.mean(part[i:j])) * MAX_DIM for i, j in zip(cuts, cuts[1:])]
     d = next((d for d in range(6, 17) if len({f"{m:.{d}g}" for m in means}) == len(means)), 17)
     members = [(f"{m:.{d}g}", Subspace(obs.dim, vecs[:, i:j], eps))
                for m, i, j in zip(means, cuts, cuts[1:])]

@@ -169,6 +169,20 @@ class TestHermitianEig:
             hermitian_eig(np.eye(2))
         assert issubclass(ConvergenceError, LinalgError)
 
+    def test_extreme_finite_entries_do_not_overflow(self):
+        # A + A^H and A - A^H overflow here; by halves they are exact
+        evals, vecs = hermitian_eig([[1.7e308, 0], [0, -1.7e308]])
+        assert evals.tolist() == [-1.7e308, 1.7e308]
+        assert vecs.tolist() == [[0, 1], [1, 0]]
+        assert not is_hermitian([[0, 1.7e308], [-1.7e308, 0]])
+        assert is_hermitian([[1.7e308, 1.7e308j], [-1.7e308j, -1.7e308]])
+
+    def test_spectrum_beyond_the_double_range_is_refused(self):
+        # finite entries whose eigenvalue 2e308 is no double
+        with pytest.raises(LinalgError, match="eigenvalue beyond the double range") as exc:
+            hermitian_eig([[1e308, 1e308], [1e308, 1e308]])
+        assert type(exc.value) is LinalgError
+
 
 class TestSubspaceCalculus:
     def test_non_finite_basis_rejected(self):
@@ -566,6 +580,18 @@ class TestOrthonormalityRule:
                     a = gram_schmidt(list((u[:, :k] @ z[:k]).T), eps)
                     b = gram_schmidt(list(u[:, k - 1:].T), eps)
                     assert a.intersect(b, eps).dim == 1 and b.intersect(a, eps).dim == 1
+
+    def test_basis_wider_than_the_space_is_refused(self):
+        # n rows of a unitary of C^(n+1): B B^H = I, the closest that n + 1
+        # columns come to orthonormal, and still |B^H B - I|_F = 1
+        rng = np.random.default_rng(89)
+        for n in range(1, 17):
+            b = haar_unitary(n + 1, rng)[:n]
+            e = b.conj().T @ b - np.eye(n + 1)
+            assert abs(np.vdot(e, e).real - 1) < 1e-12
+            with pytest.raises(ValueError) as exc:
+                Subspace(n, b, 9.9e-4)
+            assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("eps", [1e-13, EPS])
     def test_gram_schmidt_at_the_eps_floor(self, eps):

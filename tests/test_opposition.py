@@ -165,6 +165,16 @@ class TestWitnesses:
             for w in classify(p, q).witnesses.values():
                 assert w.replay()
 
+    def test_empty_pattern_witness_comes_from_the_first_leaf_family(self, fam, u_x):
+        # the empty pattern is spanned by the family's eigenbasis, so u_x's
+        # both-false witness against itself is down_x's eigenvector; an
+        # untagged literal takes the standard basis, and its witness is e_1
+        w = classify(u_x, u_x).witnesses["both_false"]
+        assert w.state.vector.tobytes() == fam.subspace("down_x").basis[:, 0].tobytes()
+        bare = Literal(u_x.subspace)
+        w = classify(bare, bare).witnesses["both_false"]
+        assert w.state.vector.tolist() == [1, 0]
+
     def test_two_proper_subspaces_never_cover(self):
         # both-false of two asserted literals is possible iff neither
         # subspace is full; search must always confirm

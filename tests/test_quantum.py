@@ -72,6 +72,14 @@ class TestState:
         v = big * 2.0 ** -1024
         assert State.normalized(big).vector.tobytes() == (v / _norm(v)).tobytes()
 
+    @pytest.mark.parametrize("vector", [[1e200, 0], [1.5e308, 1.5e308j], [1e-300, 0],
+                                        [5e-324, 5e-324]])
+    def test_out_of_range_vector_is_refused_as_such(self, vector):
+        # no unit vector has a part above 2^280 or all parts below 2^-280;
+        # the sum of squares of the first two would overflow
+        with pytest.raises(QuantumError, match="out of range"):
+            State(vector)
+
     def test_subnormal_components_normalize_to_equal_components(self):
         # their norm, taken unscaled, is subnormal and keeps a few bits
         for tiny in (5e-324, 1e-320):
@@ -337,6 +345,10 @@ class TestFamilyFromObservable:
         # a gap of exactly eps splits
         ([0.0, 1e-9], ["0", "1e-09"], [1, 1]),
         ([0.0, 1e-9, 1.5e-9, 3.0], ["0", "1.25e-09", "3"], [1, 2, 1]),
+        # gaps and sums that are no doubles: taken at 1/16 they are exact
+        ([1.7e308, -1.7e308], ["-1.7e+308", "1.7e+308"], [1, 1]),
+        ([1.7e308, 1.7e308, 1], ["1", "1.7e+308"], [1, 2]),
+        ([1.7e308] * 3, ["1.7e+308"], [3]),
     ])
     def test_eigenvalues_group_at_gaps_of_eps(self, spectrum, labels, dims):
         fam = family_from_observable(Observable(np.diag(spectrum), "D"))
