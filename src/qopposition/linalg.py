@@ -139,8 +139,10 @@ class Subspace:
         if basis.shape[1] > ambient_dim:  # the rule below refuses it too, at k^2 memory
             raise ValueError("basis has more vectors than the ambient dimension")
         self._bh = basis.conj().T
-        if basis.shape[1] and not np.vdot(
-                e := self._bh @ basis - np.eye(basis.shape[1]), e).real <= (0.75 * eps) ** 2:
+        # |B|_F^2 = tr(B^H B) is k within eps; np.vdot takes it without an overflow warning
+        k = basis.shape[1]
+        if k and not (np.vdot(basis, basis).real <= 2 * k and np.vdot(
+                e := self._bh @ basis - np.eye(k), e).real <= (0.75 * eps) ** 2):
             raise ValueError("basis is not orthonormal within tolerance")
         self.ambient_dim = int(ambient_dim)
         self.basis = basis

@@ -28,9 +28,12 @@ class State:
 
     def __init__(self, vector, eps: float = EPS):
         check_eps(eps)
-        v = as_vector(vector)
-        if _scaled(v) is not v:  # no unit vector has a part above 2^280 or all below 2^-280
-            raise QuantumError("state vector is out of range: its norm is far from 1")
+        v = np.asarray(vector, dtype=complex).reshape(-1)
+        # np.vdot does not warn on overflow; a finite |v|^2 in [1/4, 4] puts max |v_i| in [1/8, 2]
+        if not (v.size <= MAX_DIM and 0.25 <= np.vdot(v, v).real <= 4.0):
+            v = as_vector(v)
+            if _scaled(v) is not v:  # no unit vector has a part above 2^280 or all below 2^-280
+                raise QuantumError("state vector is out of range: its norm is far from 1")
         n = _norm(v)
         if abs(n - 1.0) > eps:
             raise QuantumError(f"state vector has norm {n}, expected 1")

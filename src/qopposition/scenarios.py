@@ -183,7 +183,7 @@ def load_scenario(text: str, eps: float = EPS) -> Scenario:
     sc = Scenario(name=str(doc["name"]), dim=dim)
 
     # on the way to a rescale or a refusal, _norm's sum of squares (a state above
-    # ~1e154) and the Subspace constructor's Gram matrix overflow
+    # ~1e154) overflows
     with np.errstate(over="ignore"):
         for sname, raw in sorted(_section(doc, "states").items()):
             v = np.array(_vec_in(raw, dim, f"state {sname!r}"))

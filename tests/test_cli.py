@@ -333,15 +333,20 @@ class TestLp:
         assert code == EXIT_PIPE
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("lines", [2, 0], ids=["head-n-2", "true"])
-    def test_closed_pipe_in_a_process_leaves_stderr_empty(self, lines):
+    @pytest.mark.parametrize("lines, unbuffered", [(2, True), (0, True), (2, False), (0, False)],
+                             ids=["head-n-2", "true", "head-n-2-buffered", "true-buffered"])
+    def test_closed_pipe_in_a_process_leaves_stderr_empty(self, lines, unbuffered):
         # `| head -n 2` and `| true`: the reader closes the pipe after two
         # lines, or before the first write.  No traceback, and no "Exception
-        # ignored" from the interpreter's final flush
-        src = os.path.dirname(os.path.dirname(qopposition.__file__))
+        # ignored" from the interpreter's final flush, with stdout unbuffered
+        # and with the block-buffered stdout that a shell's pipe gives
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qopposition.__file__))
         proc = subprocess.Popen(
             [sys.executable, "-m", "qopposition.cli", "lp", "chain", *"abcdefgh", "--models"],
-            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         for _ in range(lines):
             proc.stdout.readline()
         proc.stdout.close()

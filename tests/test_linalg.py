@@ -593,6 +593,17 @@ class TestOrthonormalityRule:
                 Subspace(n, b, 9.9e-4)
             assert type(exc.value) is ValueError
 
+    @pytest.mark.parametrize("basis", [[[1e200], [0]], [[1e200, 0], [0, 1e200]],
+                                       [[math.inf], [0]], [[math.nan], [0]]],
+                             ids=["huge-column", "huge-plane", "inf", "nan"])
+    def test_basis_beyond_the_double_range_is_refused_as_such(self, basis):
+        # |B|_F^2 is taken by np.vdot, which does not warn, before B^H B is
+        # formed, whose overflow or invalid value would reach the caller
+        with pytest.raises(ValueError) as exc:
+            Subspace(2, basis)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "basis is not orthonormal within tolerance"
+
     @pytest.mark.parametrize("eps", [1e-13, EPS])
     def test_gram_schmidt_at_the_eps_floor(self, eps):
         # 640 seeded sets of 1..n vectors in C^1..C^16; at eps 1e-15, below

@@ -80,6 +80,49 @@ class TestState:
         with pytest.raises(QuantumError, match="out of range"):
             State(vector)
 
+    @pytest.mark.parametrize("vector, error, message", [
+        ([0.5, 0], QuantumError, "state vector has norm 0.5, expected 1"),
+        ([2, 0], QuantumError, "state vector has norm 2.0, expected 1"),
+        ([math.nextafter(0.5, 0), 0], QuantumError,
+         "state vector has norm 0.49999999999999994, expected 1"),
+        ([math.nextafter(2, 3), 0], QuantumError,
+         "state vector has norm 2.0000000000000004, expected 1"),
+        ([math.nan, 0], ValueError, "vector has non-finite components"),
+        ([complex(0, math.inf), 0], ValueError, "vector has non-finite components"),
+        ([1e200, 0], QuantumError, "state vector is out of range: its norm is far from 1"),
+        ([1e-300, 0], QuantumError, "state vector is out of range: its norm is far from 1"),
+        ([], ValueError, "vector must have at least one component"),
+        (np.eye(17)[0], DimensionMismatch, "dimension 17 exceeds supported maximum 16"),
+    ], ids=["norm-half", "norm-two", "below-half", "above-two", "nan", "imaginary-inf",
+            "huge", "tiny", "empty", "unit-of-17"])
+    def test_refusals_around_the_norm_screen(self, vector, error, message):
+        # State screens |v|^2 in [1/4, 4] by one np.vdot: inside, only the unit
+        # check refuses; outside, each check refuses with its own type and message
+        with pytest.raises(error) as exc:
+            State(vector)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_screened_vectors_are_decided_by_the_unit_check(self):
+        # a 2-D column is a vector; a few ulps either side of |n - 1| = eps,
+        # State accepts exactly where _norm's n is within eps of 1
+        assert State([[1], [0]]).vector.tolist() == [1, 0]
+        decided = set()
+        for x in (1 + EPS, 1 - EPS):
+            for k in range(-4, 5):
+                y = x + k * math.ulp(x)
+                for v in (np.array([y, 0]), np.array([0.6 * y, 0.8j * y])):
+                    want = abs(_norm(v) - 1.0) <= EPS
+                    try:
+                        State(v)
+                    except QuantumError as exc:
+                        assert str(exc).startswith("state vector has norm")
+                        got = False
+                    else:
+                        got = True
+                    assert got == want, (x, k)
+                    decided.add(want)
+        assert decided == {True, False}
+
     def test_subnormal_components_normalize_to_equal_components(self):
         # their norm, taken unscaled, is subnormal and keeps a few bits
         for tiny in (5e-324, 1e-320):
