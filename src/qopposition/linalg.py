@@ -75,7 +75,7 @@ def as_matrix(m) -> np.ndarray:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] > MAX_DIM:
         raise DimensionMismatch(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -155,10 +155,6 @@ class Subspace:
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim)
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T

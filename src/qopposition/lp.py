@@ -75,7 +75,7 @@ class Not:
         k, inner = 1, self.arg
         while isinstance(inner, Not):
             k, inner = k + 1, inner.arg
-        return "!" * k + (str(inner) if isinstance(inner, Atom) else f"({inner})")
+        return "!" * k + str(inner)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Shared randomized constructions for the test suite.
+"""Shared constructions for the test suite and tests/identity.py.
 
-Everything here is seeded: each helper takes a numpy Generator so tests
-stay reproducible.
+Everything here is seeded: each randomized helper takes a numpy Generator
+so tests stay reproducible.
 """
 
 import math
@@ -47,6 +47,25 @@ def haar_unitary(n, rng):
     return q * (d / np.abs(d))
 
 
+def at_slack(basis, eps, rng):
+    """The same span on a basis B (I + t H), |H|_F = 1 Hermitian and
+    t = 0.37 eps, whose Gram matrix strays 2t + t^2 = 0.74 eps in the
+    Frobenius norm, just inside the 3/4 eps the Subspace constructor allows."""
+    k = basis.shape[1]
+    h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    h = h + h.conj().T
+    return basis @ (np.eye(k) + 0.37 * eps * h / np.linalg.norm(h))
+
+
+def angled_pair(n, k, sin2, rng):
+    """Bases of two k-dim subspaces of C^n (2k <= n) whose smallest
+    principal angle has squared sine sin2; the others lie in [pi/4, pi/2)."""
+    u = haar_unitary(n, rng)
+    angles = [math.asin(math.sqrt(sin2)), *rng.uniform(math.pi / 4, math.pi / 2, k - 1)]
+    b = [math.cos(x) * u[:, j] + math.sin(x) * u[:, k + j] for j, x in enumerate(angles)]
+    return u[:, :k], np.column_stack(b)
+
+
 def random_hermitian(n, rng):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (z + z.conj().T) / 2
@@ -74,3 +93,18 @@ def apply_unitary_subspace(u, s):
 
 def apply_unitary_literal(u, lit):
     return Literal(apply_unitary_subspace(u, lit.subspace), lit.asserted)
+
+
+def generic_cell(props, pattern):
+    """True when the truth pattern is a positive-measure event under Haar
+    sampling: no literal pins the state inside a proper subspace or outside
+    the whole space (membership in a proper subspace is a measure-zero
+    event, so search can confirm it only through the constructed witnesses,
+    not by sampling)."""
+    for p, want in zip(props, pattern):
+        inside_needed = want == p.asserted
+        if inside_needed and p.subspace.dim < p.subspace.ambient_dim:
+            return False
+        if not inside_needed and p.subspace.dim == p.subspace.ambient_dim:
+            return False
+    return True

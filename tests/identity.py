@@ -52,12 +52,7 @@ from qopposition.lp import consequence, models, parse_formula, satisfiable
 from qopposition.opposition import build_hexagon, build_square, classify
 from qopposition.quantum import And, Literal, Observable, Or, family_from_observable
 
-
-def _haar(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+from helpers import angled_pair, at_slack, haar_unitary
 
 
 def _gauss(n, rng):
@@ -91,7 +86,7 @@ def area_hermitian_eig():
         for eps in (1e-13, 1e-9, 1e-6):
             for _ in range(25):
                 z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                u = _haar(n, rng)
+                u = haar_unitary(n, rng)
                 spectrum = rng.integers(0, 3, n).astype(float)
                 for m in ((z + z.conj().T) / 2,                        # generic
                           (u * spectrum) @ u.conj().T,                 # degenerate
@@ -127,24 +122,6 @@ def area_gram_schmidt():
                                render=lambda s: s.basis)
 
 
-def _slack(basis, eps, rng):
-    """The same span on B (I + t H), |H|_F = 1 Hermitian, t = 0.37 eps: its
-    Gram matrix strays 0.74 eps, inside the constructor's 3/4 eps."""
-    k = basis.shape[1]
-    h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    h = h + h.conj().T
-    return basis @ (np.eye(k) + 0.37 * eps * h / np.linalg.norm(h))
-
-
-def _angled(n, k, sin2, rng):
-    """Bases of two k-dim subspaces of C^n (2k <= n) whose smallest
-    principal angle has squared sine sin2; the others lie in [pi/4, pi/2)."""
-    u = _haar(n, rng)
-    angles = [math.asin(math.sqrt(sin2)), *rng.uniform(math.pi / 4, math.pi / 2, k - 1)]
-    b = [math.cos(x) * u[:, j] + math.sin(x) * u[:, k + j] for j, x in enumerate(angles)]
-    return u[:, :k], np.column_stack(b)
-
-
 def _meets(a, b, eps):
     s, t = _run(Subspace, a.shape[0], a, eps), _run(Subspace, b.shape[0], b, eps)
     if isinstance(s, str) or isinstance(t, str):
@@ -157,10 +134,10 @@ def area_intersect():
     for n in range(2, 17):
         for eps in (1e-13, 1e-9, 1e-6, 9.9e-4):
             for _ in range(4):
-                u = _haar(n, rng)
+                u = haar_unitary(n, rng)
                 ka = int(rng.integers(1, n))
                 kb = int(rng.integers(1, n - ka + 1))
-                generic = _haar(n, rng)[:, :int(rng.integers(1, n + 1))]
+                generic = haar_unitary(n, rng)[:, :int(rng.integers(1, n + 1))]
                 pairs = [(u[:, :ka], u[:, n - kb:]),              # orthogonal
                          (u[:, :ka], u[:, ka - 1:ka - 1 + kb]),   # one shared direction
                          (u[:, :ka], generic),
@@ -168,8 +145,8 @@ def area_intersect():
                 k = int(rng.integers(1, n // 2 + 1))
                 for sin2 in (eps * eps * 0.25, eps * eps * 4, 4 * eps, 400 * eps * 0.999,
                              400 * eps * 1.001, 1e-2):
-                    a, b = _angled(n, k, min(sin2, 0.5), rng)
-                    pairs += [(a, b), (_slack(a, eps, rng), _slack(b, eps, rng))]
+                    a, b = angled_pair(n, k, min(sin2, 0.5), rng)
+                    pairs += [(a, b), (at_slack(a, eps, rng), at_slack(b, eps, rng))]
                 for a, b in pairs:
                     yield _meets(a, b, eps)
 
@@ -181,7 +158,7 @@ def area_intersect_band():
         for i in range(300):
             n = 2 + i % 15
             k = int(rng.integers(1, n // 2 + 1))
-            a, b = _angled(n, k, math.exp(rng.uniform(lo, hi)), rng)
+            a, b = angled_pair(n, k, math.exp(rng.uniform(lo, hi)), rng)
             yield _meets(a, b, eps)
 
 
@@ -190,7 +167,7 @@ def area_orthocomplement():
     for n in range(1, 17):
         for eps in (1e-13, 1e-9, 9.9e-4):
             for k in range(n + 1):
-                s = Subspace(n, _haar(n, rng)[:, :k], eps)
+                s = Subspace(n, haar_unitary(n, rng)[:, :k], eps)
                 yield _run(s.orthocomplement, eps, render=lambda c: c.basis)
 
 
@@ -201,7 +178,7 @@ def area_contains():
         eye = np.eye(n, dtype=complex)
         for eps in (1e-13, 1e-9, 1e-6, 9.9e-4):
             for k in range(n):
-                u = _haar(n, rng)
+                u = haar_unitary(n, rng)
                 c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
                 # a generic subspace, and a coordinate one, on which v = e_0 +
                 # eps e_k has a residual of exactly eps |v| for eps <= 1e-8
@@ -226,7 +203,7 @@ def _compound(leaves, rng, depth=2):
 def _leaves(kind, rng, eps):
     if kind == "random":  # zero-dimensional and full ones included, sometimes nested
         n = int(rng.integers(2, 6))
-        subs = [Subspace(n, _haar(n, rng)[:, :int(rng.integers(0, n + 1))], eps)
+        subs = [Subspace(n, haar_unitary(n, rng)[:, :int(rng.integers(0, n + 1))], eps)
                 for _ in range(int(rng.integers(1, 4)))]
         if len(subs) > 1 and rng.integers(2):
             extra = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -241,7 +218,7 @@ def _leaves(kind, rng, eps):
                 for _ in range(int(rng.integers(1, 4)))]
     else:  # eigenspaces of a degenerate observable, tagged with their family
         n = int(rng.integers(2, 6))
-        u = _haar(n, rng)
+        u = haar_unitary(n, rng)
         m = (u * rng.integers(0, 3, n)) @ u.conj().T
         fam = family_from_observable(Observable((m + m.conj().T) / 2, "M", eps), eps)
         return [Literal(sub, True, fam, label) for label, sub in fam.members]

@@ -20,7 +20,7 @@ from qopposition.quantum import (State, born, minimal_attribution,
                                  paraconsistent_attribution, truth)
 from qopposition.scenarios import BUILTIN_NAMES, builtin
 
-from helpers import (apply_unitary_literal, haar_unitary, random_hermitian,
+from helpers import (apply_unitary_literal, generic_cell, haar_unitary, random_hermitian,
                      random_literal, random_state)
 
 
@@ -126,18 +126,6 @@ def test_criterion_6_attribution_semantics():
         got_min = minimal_attribution(psi, fam)
         got_para = paraconsistent_attribution(psi, fam)
         assert got_min == got_para == {label}
-
-
-def generic_cell(props, pattern):
-    """True when the cell has positive Haar measure, i.e. no coordinate
-    pins the state inside a proper subspace or outside a full one."""
-    for p, want in zip(props, pattern):
-        inside_needed = want == p.asserted
-        if inside_needed and p.subspace.dim < p.subspace.ambient_dim:
-            return False
-        if not inside_needed and p.subspace.dim == p.subspace.ambient_dim:
-            return False
-    return True
 
 
 def test_criterion_7_exact_vs_search_oracle():

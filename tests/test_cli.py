@@ -53,6 +53,13 @@ class TestClassify:
         assert out.startswith("# classify")
         assert "relation: Contrary" in out
 
+    def test_text_output_of_no_witnesses(self, capsys):
+        code, out, err = run(capsys, "classify", "spin_half_x", "u_x", "!u_x")
+        assert code == EXIT_OK and err == ""
+        assert out == ("# classify spin_half_x u_x !u_x  (eps=1e-09)\n"
+                       "relation: Contradictory\n"
+                       "witnesses: {}\n")
+
     def test_check_witness_valid(self, capsys):
         witness = {"state": [[1.0, 0.0], [0.0, 0.0]], "pattern": [False, False]}
         code, doc = run_json(capsys, "classify", "spin_half_x", "u_x", "d_x",
@@ -312,24 +319,31 @@ class TestLp:
         # an even run of "!" is p; B precedes T in the documented order
         assert doc["results"]["model"] == {"p": {"lp": "B", "classical": "T"}[mode]}
 
-    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch, tmp_path):
-        # `qopp lp chain ... --models | head -n 2`: the reader closed the pipe,
-        # so main must move stdout's descriptor (here a file's) to devnull
-        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    def test_text_output_lists_models(self, capsys):
+        code, out, err = run(capsys, "lp", "check", "-c", "p | !p", "--models")
+        assert code == EXIT_OK and err == ""
+        assert out == ("# lp check  (eps=1e-09)\n"
+                       "constraints: [(p | !p)]\n"
+                       "mode: lp\n"
+                       "satisfiable: true\n"
+                       "model:\n"
+                       "  p: F\n"
+                       "models:\n"
+                       "  -\n"
+                       "    p: F\n"
+                       "  -\n"
+                       "    p: B\n"
+                       "  -\n"
+                       "    p: T\n")
 
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch):
+        # `qopp lp chain ... --models | head -n 2`: the reader closed the pipe
         class ClosedPipe(io.StringIO):
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-            def fileno(self):
-                return fd
-
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        try:
-            code = main(["lp", "chain", *"abcdefgh", "--models"])
-            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
-        finally:
-            os.close(fd)
+        code = main(["lp", "chain", *"abcdefgh", "--models"])
         assert code == EXIT_PIPE
         assert capsys.readouterr().err == ""
 

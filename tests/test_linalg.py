@@ -9,8 +9,8 @@ from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
                                 gram_schmidt, hermitian_eig, is_hermitian)
 from qopposition.quantum import Observable, State, family_from_observable
 
-from helpers import (BAD_EPS, BAD_EPS_IDS, complex_parts, haar_unitary, normal_scalings,
-                     random_hermitian, random_subspace, random_state)
+from helpers import (BAD_EPS, BAD_EPS_IDS, angled_pair, at_slack, complex_parts, haar_unitary,
+                     normal_scalings, random_hermitian, random_subspace, random_state)
 
 R2 = 1.0 / math.sqrt(2.0)
 _SVD = np.linalg.svd
@@ -238,7 +238,7 @@ class TestSubspaceCalculus:
             Subspace.zero(2).is_subset(gram_schmidt([[1, 0]]), eps=eps)
 
     def test_line_subset_of_full(self):
-        assert gram_schmidt([[1, 0]]).is_subset(Subspace.full(2))
+        assert gram_schmidt([[1, 0]]).is_subset(Subspace(2, np.eye(2)))
 
     def test_line_not_subset_of_other_line(self):
         assert not gram_schmidt([[1, 0]]).is_subset(gram_schmidt([[R2, R2]]))
@@ -281,7 +281,7 @@ class TestSubspaceCalculus:
 
     def test_zero_and_full_flags(self):
         assert Subspace.zero(2).is_zero()
-        s = Subspace.full(3)
+        s = Subspace(3, np.eye(3))
         assert s.dim == s.ambient_dim
 
     def test_ambient_mismatch(self):
@@ -444,25 +444,6 @@ def _residual_svd_meet(s, t, eps):
     return dirs[:, [i for i in range(dirs.shape[1]) if b._contains(dirs[:, i], eps)]]
 
 
-def _at_slack(basis, eps, rng):
-    """The same span on a basis B (I + t H), |H|_F = 1 Hermitian and
-    t = 0.37 eps, whose Gram matrix strays 2t + t^2 = 0.74 eps in the
-    Frobenius norm, just inside the 3/4 eps the Subspace constructor allows."""
-    k = basis.shape[1]
-    h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    h = h + h.conj().T
-    return basis @ (np.eye(k) + 0.37 * eps * h / np.linalg.norm(h))
-
-
-def _angled_pair(n, k, sin2, rng):
-    """Bases of two k-dim subspaces of C^n (2k <= n) whose smallest
-    principal angle has squared sine sin2; the others lie in [pi/4, pi/2)."""
-    u = haar_unitary(n, rng)
-    angles = [math.asin(math.sqrt(sin2)), *rng.uniform(math.pi / 4, math.pi / 2, k - 1)]
-    b = [math.cos(x) * u[:, j] + math.sin(x) * u[:, k + j] for j, x in enumerate(angles)]
-    return u[:, :k], np.column_stack(b)
-
-
 class TestMeetCertificate:
     """Subspace.intersect returns the zero meet without the residual SVD
     when the cosines of the cross-Gram matrix show that no direction can
@@ -488,8 +469,8 @@ class TestMeetCertificate:
                      (u[:, :ka], random_subspace(n, kb, rng).basis, None)]  # generic
             k = int(rng.integers(1, n // 2 + 1))
             for side in (1 + 1e-3, 1 - 1e-3):
-                a, b = _angled_pair(n, k, gap * side, rng)
-                cases += [(a, b, side > 1), (_at_slack(a, eps, rng), _at_slack(b, eps, rng), None)]
+                a, b = angled_pair(n, k, gap * side, rng)
+                cases += [(a, b, side > 1), (at_slack(a, eps, rng), at_slack(b, eps, rng), None)]
             for a, b, fires in cases:
                 s, t = Subspace(n, a, eps), Subspace(n, b, eps)
                 for x, y in ((s, t), (t, s)):
@@ -631,12 +612,12 @@ class TestZeroSubspace:
         assert s.basis.shape == (n, 0) and s.basis.dtype == complex
         assert not s.basis.flags.writeable
         assert not s.contains(np.ones(n))
-        assert s.is_subset(Subspace.full(n)) and Subspace.full(n).intersect(s).is_zero()
+        assert s.is_subset(Subspace(n, np.eye(n))) and Subspace(n, np.eye(n)).intersect(s).is_zero()
         # the meet's certificate and the SVD decide the zero subspace with no
         # case of their own: it meets anything, on either side, in zero, and
         # its orthocomplement is spanned by the identity, bit for bit
         rng = np.random.default_rng(n)
-        for other in [s, Subspace.zero(n), Subspace.full(n),
+        for other in [s, Subspace.zero(n), Subspace(n, np.eye(n)),
                       *(random_subspace(n, k, rng) for k in range(1, n + 1))]:
             for meet in (s.intersect(other), other.intersect(s)):
                 assert meet.ambient_dim == n and meet.is_zero()

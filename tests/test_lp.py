@@ -364,6 +364,13 @@ class TestParser:
     def test_parentheses(self):
         assert parse_formula("(a | b) & c") == AndF(OrF(Atom("a"), Atom("b")), Atom("c"))
 
+    @pytest.mark.parametrize("formula, text", [
+        (Not(AndF(Atom("a"), Atom("b"))), "!(a & b)"),
+        (Not(Not(OrF(Atom("a"), Atom("b")))), "!!(a | b)")])
+    def test_negated_compound_prints_its_parentheses_once(self, formula, text):
+        assert str(formula) == text
+        assert parse_formula(text) == formula
+
     def test_whitespace_insensitive(self):
         assert parse_formula("p_a<->!p_a") == parse_formula("  p_a  <->  !  p_a ")
 

@@ -18,7 +18,7 @@ from qopposition.quantum import (And, Literal, Or, OrthoFamily, QuantumError, St
 from qopposition.scenarios import BUILTIN_NAMES, builtin
 
 from helpers import (BAD_EPS, BAD_EPS_IDS, apply_unitary_literal, apply_unitary_subspace,
-                     haar_unitary, random_literal, random_state, random_subspace)
+                     generic_cell, haar_unitary, random_literal, random_state, random_subspace)
 
 R2 = 1.0 / math.sqrt(2.0)
 # a Subaltern's direction under swapping the pair, or negating both sides
@@ -311,7 +311,7 @@ class TestHexagon:
         assert truth(top, random_state(2, rng).__class__([R2, R2]))
 
     def test_degenerate_family_reports_deviation(self):
-        fam = OrthoFamily(2, [("all", Subspace.full(2)), ("none", Subspace.zero(2))])
+        fam = OrthoFamily(2, [("all", Subspace(2, np.eye(2))), ("none", Subspace.zero(2))])
         with pytest.raises(OppositionError):
             # E is unsatisfiable: the base pair is not contrary
             build_hexagon(lit(fam, "all"), lit(fam, "none"))
@@ -447,20 +447,6 @@ def test_family_column_at_the_gram_slack_is_decided():
     c = classify(lit(fam, "a"), lit(fam, "b"))
     assert c.relation is Relation.CONTRARY and "both_false" in c.witnesses
     assert all(w.replay() for w in c.witnesses.values())
-
-
-def generic_cell(props, pattern):
-    """True when the truth pattern is a positive-measure event under Haar
-    sampling: each conjunct must hold at almost every state (membership in
-    a proper subspace is a measure-zero event, so search can confirm it
-    only through the constructed witnesses, not by sampling)."""
-    for p, want in zip(props, pattern):
-        inside_needed = want == p.asserted
-        if inside_needed and p.subspace.dim < p.subspace.ambient_dim:
-            return False
-        if not inside_needed and p.subspace.dim == p.subspace.ambient_dim:
-            return False
-    return True
 
 
 class TestOracleAgreement:

@@ -475,9 +475,9 @@ class TestOrthoFamilyInvariants:
 class TestRefusals:
     @pytest.mark.parametrize("make, error", [
         (lambda: OrthoFamily(2, []), QuantumError),
-        (lambda: OrthoFamily(2, [("a", Subspace.full(2)), ("a", Subspace.zero(2))]),
+        (lambda: OrthoFamily(2, [("a", Subspace(2, np.eye(2))), ("a", Subspace.zero(2))]),
          QuantumError),
-        (lambda: OrthoFamily(2, [("a", Subspace.full(2)), ("z", Subspace.zero(3))]),
+        (lambda: OrthoFamily(2, [("a", Subspace(2, np.eye(2))), ("z", Subspace.zero(3))]),
          DimensionMismatch),
         (lambda: superpose([], []), QuantumError),
         (lambda: truth("up_x", UP_X), TypeError),
