@@ -310,7 +310,9 @@ def main(argv=None) -> int:
         # evaluators reach; propositions are bounded when a file is loaded
         print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:  # the reader closed stdout (`| head`)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
 
 

@@ -336,30 +336,46 @@ class TestLp:
                        "  -\n"
                        "    p: T\n")
 
-    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch):
-        # `qopp lp chain ... --models | head -n 2`: the reader closed the pipe
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        # `qopp lp chain ... --models | head -n 2`: the reader closed the pipe,
+        # so main must move stdout's descriptor (here a file's) to devnull
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
         class ClosedPipe(io.StringIO):
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
+            def fileno(self):
+                return fd
+
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        code = main(["lp", "chain", *"abcdefgh", "--models"])
+        try:
+            code = main(["lp", "chain", *"abcdefgh", "--models"])
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
         assert code == EXIT_PIPE
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("lines, unbuffered", [(2, True), (0, True), (2, False), (0, False)],
-                             ids=["head-n-2", "true", "head-n-2-buffered", "true-buffered"])
-    def test_closed_pipe_in_a_process_leaves_stderr_empty(self, lines, unbuffered):
+    LP_CHAIN = ["lp", "chain", *"abcdefgh", "--models"]
+
+    @pytest.mark.parametrize("argv, lines, unbuffered", [
+        (LP_CHAIN, 2, True), (LP_CHAIN, 0, True), (LP_CHAIN, 2, False), (LP_CHAIN, 0, False),
+        (["classify", "spin_half_x", "u_x", "d_x"], 0, False),
+    ], ids=["head-n-2", "true", "head-n-2-buffered", "true-buffered", "classify-true-buffered"])
+    def test_closed_pipe_in_a_process_leaves_stderr_empty(self, argv, lines, unbuffered):
         # `| head -n 2` and `| true`: the reader closes the pipe after two
         # lines, or before the first write.  No traceback, and no "Exception
         # ignored" from the interpreter's final flush, with stdout unbuffered
-        # and with the block-buffered stdout that a shell's pipe gives
+        # and with the block-buffered stdout that a shell's pipe gives.  The
+        # lp chain's 13.5 kB leave nothing in the buffer when the write fails;
+        # classify's few lines stay there, so only devnull quiets the flush
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qopposition.__file__))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qopposition.cli", "lp", "chain", *"abcdefgh", "--models"],
+            [sys.executable, "-m", "qopposition.cli", *argv],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         for _ in range(lines):
             proc.stdout.readline()
