@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-# the tolerance lives with the numpy-free loader, so `qopp lp` reads it too
-from .scenarios import EPS, check_eps
+# the tolerance has a module of its own, so this one loads no scenario loader
+from ._eps import EPS, check_eps
 
 MAX_DIM = 16
 

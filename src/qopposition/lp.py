@@ -60,8 +60,10 @@ class Atom:
     name: str
 
     def __post_init__(self):
-        if not self.name:
-            raise LogicError("atom name must be nonempty")
+        # the parser's atom, a nonempty run of letters, digits and _, so that
+        # every atom prints as text that reads back
+        if not (isinstance(self.name, str) and self.name.replace("_", "a").isalnum()):
+            raise LogicError(f"atom name {self.name!r} is not letters, digits and _ only")
 
     def __str__(self):
         return self.name

@@ -7,9 +7,9 @@ propositions, and queries into a reproducible unit.  Serialization is
 canonical (keys sorted, floats at 17 significant digits) so golden files
 are byte-stable.
 
-This module imports no numpy and no other library module when it is
-imported: each function imports the modules its path runs, so an LP query
-loads only `lp`.  It is also the home of the default tolerance EPS.
+When it is imported, this module imports no numpy and, of the library,
+only `_eps`, whose tolerance EPS and `check_eps` it re-exports: each
+function imports the modules its path runs, so an LP query loads only `lp`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._eps import EPS, check_eps
+
 if TYPE_CHECKING:
     from .quantum import OrthoFamily, Proposition, State
-
-EPS = 1e-9
 
 # and/or levels a proposition may nest.  The evaluators and the JSON writer
 # recurse; refusing deeper ones at load gives every command the same limit
@@ -31,12 +31,6 @@ MAX_NESTING = 100
 
 class ScenarioError(ValueError):
     pass
-
-
-def check_eps(eps: float) -> float:
-    if not (1e-13 <= eps < 1e-3):
-        raise ValueError(f"eps must lie in [1e-13, 1e-3), got {eps}")
-    return eps
 
 
 def _named(table: dict, kind: str, name):

@@ -298,6 +298,14 @@ class TestLp:
         code, out, err = run(capsys, "lp", "postulate", "s", "s")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, atom", [
+        (["chain", "x y", "z"], "p_x y"), (["chain", "a-b", "c"], "p_a-b"),
+        (["postulate", "s1", "s.2"], "K_s.2")], ids=["space", "dash", "dot"])
+    def test_label_that_makes_an_unreadable_atom_is_refused(self, capsys, argv, atom):
+        code, out, err = run(capsys, "lp", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: atom name {atom!r} is not letters, digits and _ only\n"
+
     @pytest.mark.parametrize("formula", [
         "(" * 3000 + "p" + ")" * 3000,
         "!" * 3000 + "p",
@@ -620,6 +628,18 @@ class TestScenario:
         assert {k: v for k, v in result.items() if k not in ("op", "args")} \
             == direct["results"]
 
+    @pytest.mark.parametrize("op", ["lp_chain", "lp_postulate"])
+    def test_lp_label_that_makes_an_unreadable_atom_is_refused(self, capsys, tmp_path, op):
+        from qopposition.scenarios import builtin, serialize
+        doc = json.loads(serialize(builtin("cat")))
+        doc["queries"] = [{"op": op, "args": {"labels": ["a", "b c"]}}]
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "scenario", "run", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        atom = "p_b c" if op == "lp_chain" else "K_b c"
+        assert err == f"error: atom name {atom!r} is not letters, digits and _ only\n"
+
     @pytest.mark.parametrize("ask", ["no", 1, None], ids=["string", "number", "null"])
     def test_lp_check_models_must_be_a_boolean(self, capsys, tmp_path, ask):
         from qopposition.scenarios import builtin, serialize
@@ -766,9 +786,9 @@ _EXPORTS = {
 
 # the submodules each one imports, itself included
 _CLOSURES = {
-    "linalg": ["linalg", "scenarios"],
-    "quantum": ["linalg", "quantum", "scenarios"],
-    "opposition": ["linalg", "opposition", "quantum", "scenarios"],
+    "linalg": ["linalg"],
+    "quantum": ["linalg", "quantum"],
+    "opposition": ["linalg", "opposition", "quantum"],
     "lp": ["lp"],
     "scenarios": ["scenarios"],
 }
@@ -833,6 +853,18 @@ for m in MODULES:
                             "print(*sorted(m for m in sys.modules"
                             " if m == 'numpy' or m.startswith('qopposition')))\n")
         assert out == "qopposition qopposition.lp\n"
+
+    def test_quantum_use_loads_no_scenario_loader(self):
+        out = _fresh_python("import sys\n"
+                            "import qopposition as q\n"
+                            "a, b = q.gram_schmidt([[1, 0]]), q.gram_schmidt([[0, 1]])\n"
+                            "a, b = q.Literal(a), q.Literal(b)\n"
+                            "assert len(q.build_hexagon(a, b).positions) == 6\n"
+                            "assert q.classify(a, b).relation is q.Relation.CONTRARY\n"
+                            "print(*sorted(m for m in sys.modules"
+                            " if m == 'json' or m.startswith('qopposition')))\n")
+        assert out == ("qopposition qopposition._eps qopposition.linalg"
+                       " qopposition.opposition qopposition.quantum\n")
 
     def test_other_names_load_nothing(self):
         # perfbench's tracer relies on `cli` reading None until it is imported

@@ -384,6 +384,20 @@ class TestParser:
             assert str(exc.value) == f"{message} (at column {column})"
             assert exc.value.position == column - 1
 
+    def test_an_atom_is_a_name_the_parser_reads(self):
+        names = ["", "_", "!a", "a b"] + ["a" + chr(i) for i in range(32, 127)] \
+            + ["a\u00e9", "a\u00b2", "a\u00a0", "a\u200b"]
+        for name in names:
+            try:
+                f = parse_formula(name)
+            except ParseError:
+                f = None
+            if isinstance(f, Atom) and f.name == name:
+                assert str(Atom(name)) == name
+            else:
+                with pytest.raises(LogicError, match="not letters, digits and _ only"):
+                    Atom(name)
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("p q")
@@ -392,17 +406,21 @@ class TestParser:
 class TestRefusals:
     @pytest.mark.parametrize("make, error", [
         (lambda: Atom(""), LogicError),
+        (lambda: Atom(5), LogicError),
         (lambda: satisfiable([Atom("p")], "fuzzy"), LogicError),
         (lambda: postulate_of_contradiction([]), LogicError),
         (lambda: equivalence_chain(["a", "a"]), LogicError),
+        (lambda: postulate_of_contradiction(["s1", "x y"]), LogicError),
+        (lambda: equivalence_chain(["a", "b.c"]), LogicError),
         (lambda: eval3(lp.BinOp(Atom("p"), Atom("p")), {"p": TV.T}), TypeError),
         (lambda: satisfiable([lp.BinOp(Atom("p"), Atom("p"))]), TypeError),
         (lambda: eval3("p", {}), TypeError),
         (lambda: satisfiable(["p"]), TypeError),
         (lambda: satisfiable([None]), TypeError),
         (lambda: consequence([], "p"), TypeError),
-    ], ids=["atom-empty", "mode-unknown", "postulate-no-labels",
-            "chain-duplicate-labels", "eval3-non-formula", "masks-non-formula",
+    ], ids=["atom-empty", "atom-not-a-string", "mode-unknown", "postulate-no-labels",
+            "chain-duplicate-labels", "postulate-unreadable-label",
+            "chain-unreadable-label", "eval3-non-formula", "masks-non-formula",
             "eval3-string", "satisfiable-string", "satisfiable-none",
             "consequence-string"])
     def test_refused_input_raises_its_type(self, make, error):

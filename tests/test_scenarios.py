@@ -369,6 +369,11 @@ class TestRefusals:
             make(eps)
         assert type(exc.value) is ValueError
 
+    def test_one_tolerance_for_the_loader_and_the_numeric_modules(self):
+        from qopposition import linalg, scenarios
+        assert scenarios.EPS is linalg.EPS
+        assert scenarios.check_eps is linalg.check_eps
+
     @pytest.mark.parametrize("make, message", [
         (lambda: builtin("nope"),
          "unknown builtin 'nope' (have ['cat', 'double_slit', 'skewed', "
