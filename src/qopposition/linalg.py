@@ -206,21 +206,25 @@ class Subspace:
         sigma_max(C)^2 > (1 - eps)^2 (1 - s)/(1 + s) > 1 - 4*eps.  So the
         meet is zero when |C|_F^2, or else sigma_max(C)^2, is at most
         1 - 400*eps, 396*eps >= 3.96e-11 under the bound: a margin far
-        above rounding.  A zero subspace gives an empty C, |C|_F = 0."""
+        above rounding.  A zero subspace gives an empty C, |C|_F = 0.
+        `_meet` is this meet, but None where it is zero: the walk builds no empty meet."""
+        return self._meet(other, eps) or Subspace.zero(self.ambient_dim)
+
+    def _meet(self, other: "Subspace", eps: float) -> "Subspace | None":
         self._check_ambient(other)
         check_eps(eps)
         cross = other._bh.dot(self.basis)
         limit = 1.0 - 400.0 * eps
         if (np.vdot(cross, cross).real <= limit
                 or np.linalg.svd(cross, compute_uv=False)[0] ** 2 <= limit):
-            return Subspace.zero(self.ambient_dim)
+            return None
         a, b = sorted((self, other), key=lambda s: (s.dim, s.basis.tobytes()))
         residual = a.basis - b.basis @ (b._bh @ a.basis)
         _, _, vh = np.linalg.svd(residual, full_matrices=False)
         dirs = a.basis @ vh[::-1].conj().T
         keep = [i for i, d in enumerate(dirs.T)
                 if b._contains(d, eps * eps * float(np.vdot(d, d).real))]
-        return Subspace(self.ambient_dim, dirs[:, keep], eps)
+        return Subspace(self.ambient_dim, dirs[:, keep], eps) if keep else None
 
     def orthocomplement(self, eps: float = EPS) -> "Subspace":
         """The trailing left singular vectors of the basis (for n x 0, all of np.eye(n))."""

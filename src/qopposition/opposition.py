@@ -14,9 +14,9 @@ both-true or both-false mask gives its first pattern's witness.  The
 questions `can_both_be_true` and `can_both_be_false` read `classify`, and
 `entails` tests the masks itself.  A polygon's corners other than A and E
 take their masks by complement, since negation is set complement.  The
-walk visits each nonzero meet once: orthogonal leaves have few, while k
-generic hyperplanes have up to 2^k, so a decision is refused once it has
-visited more than MEET_BUDGET of them.
+walk visits each nonzero meet once and never materializes an empty one:
+orthogonal leaves have few, while k generic hyperplanes have up to 2^k,
+so a decision is refused once it has visited more than MEET_BUDGET of them.
 
 `random_witness_search` samples Haar-random states.  It tests membership
 on its own, vectorized over the samples, and shares only the And/Or fold
@@ -150,26 +150,27 @@ def _patterns(props, eps: float):
                 states.append(State(v, eps))
                 break
         for j in reversed(range(start, len(subs))):
-            nxt = subs[j] if meet is None else meet.intersect(subs[j], eps)
-            if not nxt.is_zero():
+            nxt = subs[j] if meet is None else meet._meet(subs[j], eps)
+            if nxt is not None and nxt.dim:
                 todo.append((inside | {subs[j]}, nxt, j + 1))
     return [evaluate(p, masks.get, (1 << len(states)) - 1) for p in props], states
 
 
-def _classify(p: Proposition, q: Proposition, tp: int, tq: int, states: list) -> Classification:
-    # a witness per nonempty both-true or both-false mask: its first pattern's state
+def _classify(p: Proposition, q: Proposition, tp: int, tq: int, states: list,
+              full: int) -> Classification:
+    # full has every pattern's bit; a nonempty both-true or both-false mask's first is a witness
+    both_true, both_false = tp & tq, full & ~(tp | tq)
     witnesses = {}
-    if mask := tp & tq:
+    if both_true:
         witnesses["both_true"] = Witness(
-            states[(mask & -mask).bit_length() - 1], (p, q), (True, True))
-    if mask := ~(tp | tq) & ((1 << len(states)) - 1):
+            states[(both_true & -both_true).bit_length() - 1], (p, q), (True, True))
+    if both_false:
         witnesses["both_false"] = Witness(
-            states[(mask & -mask).bit_length() - 1], (p, q), (False, False))
-    if not witnesses:
-        return Classification(Relation.CONTRADICTORY, None, witnesses)
-    if "both_true" not in witnesses:
-        return Classification(Relation.CONTRARY, None, witnesses)
-    if "both_false" not in witnesses:
+            states[(both_false & -both_false).bit_length() - 1], (p, q), (False, False))
+    if not both_true:
+        return Classification(
+            Relation.CONTRARY if both_false else Relation.CONTRADICTORY, None, witnesses)
+    if not both_false:
         return Classification(Relation.SUBCONTRARY, None, witnesses)
     fwd, bwd = not tp & ~tq, not tq & ~tp
     if fwd and bwd:
@@ -233,7 +234,7 @@ def entails(p: Proposition, q: Proposition, eps: float = EPS) -> bool:
 def classify(p: Proposition, q: Proposition, eps: float = EPS) -> Classification:
     """Classify the opposition relation between two propositions."""
     (tp, tq), states = _patterns((p, q), eps)
-    return _classify(p, q, tp, tq, states)
+    return _classify(p, q, tp, tq, states, (1 << len(states)) - 1)
 
 
 # --- square and hexagon ---------------------------------------------------
@@ -280,17 +281,17 @@ def _build(a: Proposition, e: Proposition, pattern, eps) -> Polygon:
         positions["U"] = Or((a, e))
         positions["Y"] = And((positions["I"], positions["O"]))
         tables["U"], tables["Y"] = ta | te, full & ~(ta | te)
-    base = _classify(a, e, ta, te, states)
+    base = _classify(a, e, ta, te, states, full)
     if base.relation is not Relation.CONTRARY:
         raise OppositionError(
             f"base pair is {base.describe('A', 'E')}, not Contrary; "
             "cannot place it at the A and E corners")
     relations, deviations = {}, []
     for (x, y), (want_rel, want_dir) in pattern.items():
-        c = base if (x, y) == ("A", "E") else _classify(
-            positions[x], positions[y], tables[x], tables[y], states)
+        c = base if x == "A" and y == "E" else _classify(
+            positions[x], positions[y], tables[x], tables[y], states, full)
         relations[(x, y)] = c
-        if (c.relation, c.direction) != (want_rel, want_dir):
+        if c.relation is not want_rel or c.direction != want_dir:
             deviations.append((x, y, want_rel.value, c.describe(x, y)))
     return Polygon(positions, relations, tuple(deviations))
 

@@ -444,6 +444,28 @@ def _residual_svd_meet(s, t, eps):
     return dirs[:, [i for i in range(dirs.shape[1]) if b._contains(dirs[:, i], eps)]]
 
 
+def _meet_cases(eps):
+    """Seeded (n, k, side, s, t, fires) in C^2..C^16: orthogonal, sharing
+    and generic pairs, then an angled pair whose smallest squared sine lies
+    just above (fires, the certificate must settle it) or just below the
+    certificate's gap, each also on bases at the Gram slack (fires None)."""
+    rng = np.random.default_rng(67)
+    gap = 1.0 - _certificate_limit(eps)
+    for n in range(2, 17):
+        u = haar_unitary(n, rng)
+        ka = int(rng.integers(1, n))
+        kb = int(rng.integers(1, n - ka + 1))
+        cases = [(u[:, :ka], u[:, n - kb:], None),             # orthogonal
+                 (u[:, :ka], u[:, ka - 1:ka - 1 + kb], None),  # one shared direction
+                 (u[:, :ka], random_subspace(n, kb, rng).basis, None)]  # generic
+        k = int(rng.integers(1, n // 2 + 1))
+        for side in (1 + 1e-3, 1 - 1e-3):
+            a, b = angled_pair(n, k, gap * side, rng)
+            cases += [(a, b, side > 1), (at_slack(a, eps, rng), at_slack(b, eps, rng), None)]
+        for a, b, fires in cases:
+            yield n, k, side, Subspace(n, a, eps), Subspace(n, b, eps), fires
+
+
 class TestMeetCertificate:
     """Subspace.intersect returns the zero meet without the residual SVD
     when the cosines of the cross-Gram matrix show that no direction can
@@ -458,31 +480,33 @@ class TestMeetCertificate:
             return _SVD(m, *args, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        rng = np.random.default_rng(67)
-        gap = 1.0 - _certificate_limit(eps)
-        for n in range(2, 17):
-            u = haar_unitary(n, rng)
-            ka = int(rng.integers(1, n))
-            kb = int(rng.integers(1, n - ka + 1))
-            cases = [(u[:, :ka], u[:, n - kb:], None),             # orthogonal
-                     (u[:, :ka], u[:, ka - 1:ka - 1 + kb], None),  # one shared direction
-                     (u[:, :ka], random_subspace(n, kb, rng).basis, None)]  # generic
-            k = int(rng.integers(1, n // 2 + 1))
-            for side in (1 + 1e-3, 1 - 1e-3):
-                a, b = angled_pair(n, k, gap * side, rng)
-                cases += [(a, b, side > 1), (at_slack(a, eps, rng), at_slack(b, eps, rng), None)]
-            for a, b, fires in cases:
-                s, t = Subspace(n, a, eps), Subspace(n, b, eps)
-                for x, y in ((s, t), (t, s)):
-                    residual_svds.clear()
-                    got = x.intersect(y, eps).basis
-                    fired = True not in residual_svds
-                    want = _residual_svd_meet(x, y, eps)
-                    if fired:
-                        assert want.shape[1] == 0, (n, x.dim, y.dim)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                    if fires is not None:
-                        assert fired == fires, (n, k, side)
+        for n, k, side, s, t, fires in _meet_cases(eps):
+            for x, y in ((s, t), (t, s)):
+                residual_svds.clear()
+                got = x.intersect(y, eps).basis
+                fired = True not in residual_svds
+                want = _residual_svd_meet(x, y, eps)
+                if fired:
+                    assert want.shape[1] == 0, (n, x.dim, y.dim)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                if fires is not None:
+                    assert fired == fires, (n, k, side)
+
+    @pytest.mark.parametrize("eps", [1e-13, EPS, 2.5e-7, 1e-6, 9.9e-4])
+    def test_meet_is_intersect_with_none_for_zero(self, eps):
+        # the walk's _meet builds no zero subspace and is intersect otherwise
+        empty = nonzero = 0
+        for n, k, side, s, t, _ in _meet_cases(eps):
+            for x, y in ((s, t), (t, s)):
+                got, want = x._meet(y, eps), x.intersect(y, eps)
+                assert (got is None) == want.is_zero(), (n, k, side)
+                if got is None:
+                    empty += 1
+                else:
+                    nonzero += 1
+                    assert got.ambient_dim == n and got.basis.shape == want.basis.shape
+                    assert got.basis.tobytes() == want.basis.tobytes()
+        assert empty and nonzero
 
     def test_empty_meets_skip_the_residual_svd(self, monkeypatch):
         # a later edit must not drop the certificate: the meets of members

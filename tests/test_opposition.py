@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from qopposition.linalg import EPS, DimensionMismatch, Subspace, gram_schmidt
 from qopposition import opposition
-from qopposition.opposition import (MEET_BUDGET, Classification, OppositionError,
-                                    Polygon, Relation, Witness, build_hexagon, build_square,
-                                    can_both_be_false, can_both_be_true,
-                                    classify, entails, random_witness_search)
+from qopposition.opposition import (HEXAGON_PATTERN, MEET_BUDGET, SQUARE_PATTERN,
+                                    Classification, OppositionError, Polygon, Relation,
+                                    Witness, build_hexagon, build_square, can_both_be_false,
+                                    can_both_be_true, classify, entails,
+                                    random_witness_search)
 from qopposition.quantum import (And, Literal, Or, OrthoFamily, QuantumError, State,
                                  leaves, truth, minimal_attribution)
 from qopposition.scenarios import BUILTIN_NAMES, builtin
@@ -318,16 +319,28 @@ class TestHexagon:
             build_hexagon(lit(fam, "all"), lit(fam, "none"))
 
     @staticmethod
-    def assert_hexagon_is_classify(a, e):
-        # the hexagon decides all 15 pairs from per-corner truth tables over
-        # one walk; each pair must get what classify gives it on its own
-        hx = build_hexagon(a, e)
-        for (x, y), c in hx.relations.items():
-            d = classify(hx.positions[x], hx.positions[y])
-            assert (c.relation, c.direction) == (d.relation, d.direction)
-            assert sorted(c.witnesses) == sorted(d.witnesses)
-            for key, w in c.witnesses.items():
-                assert w.state.vector.tobytes() == d.witnesses[key].state.vector.tobytes()
+    def assert_polygons_are_classify(a, e):
+        # a square and a hexagon decide their pairs from per-corner truth
+        # tables over one walk; each pair, keyed in the pattern's order, must
+        # get what classify gives it on its own, witnesses included
+        for build, pattern in ((build_square, SQUARE_PATTERN), (build_hexagon, HEXAGON_PATTERN)):
+            poly = build(a, e)
+            assert list(poly.relations) == list(pattern)
+            for (x, y), c in poly.relations.items():
+                d = classify(poly.positions[x], poly.positions[y])
+                assert (c.relation, c.direction) == (d.relation, d.direction)
+                assert list(c.witnesses) == list(d.witnesses)
+                for key, w in c.witnesses.items():
+                    v = d.witnesses[key]
+                    assert (w.props, w.pattern) == (v.props, v.pattern)
+                    assert w.state.vector.tobytes() == v.state.vector.tobytes()
+
+    @staticmethod
+    def seeded_c8_pairs():
+        rng = np.random.default_rng(53)
+        return [(Literal(random_subspace(8, ra, rng), name="A"),
+                 Literal(random_subspace(8, re_, rng), name="E"))
+                for ra, re_ in ((1, 1), (1, 7), (2, 3), (3, 5), (4, 4), (6, 2))]
 
     def test_relations_are_classify_on_builtin_contrary_pairs(self):
         count = 0
@@ -335,16 +348,30 @@ class TestHexagon:
             props = builtin(name).propositions.values()
             for a, e in itertools.permutations(props, 2):
                 if classify(a, e).relation is Relation.CONTRARY:
-                    self.assert_hexagon_is_classify(a, e)
+                    self.assert_polygons_are_classify(a, e)
                     count += 1
         assert count > 0
 
     def test_relations_are_classify_on_seeded_c8_pairs(self):
-        rng = np.random.default_rng(53)
-        for ra, re_ in ((1, 1), (1, 7), (2, 3), (3, 5), (4, 4), (6, 2)):
-            a = Literal(random_subspace(8, ra, rng), name="A")
-            e = Literal(random_subspace(8, re_, rng), name="E")
-            self.assert_hexagon_is_classify(a, e)
+        for a, e in self.seeded_c8_pairs():
+            self.assert_polygons_are_classify(a, e)
+
+    def test_decision_builds_no_zero_subspace(self, monkeypatch):
+        # the walk drops every empty meet, so none is built as a Subspace
+        pairs = [(a, e) for a, e in itertools.permutations(
+            builtin("cat").propositions.values(), 2)
+            if classify(a, e).relation is Relation.CONTRARY] + self.seeded_c8_pairs()
+        init, zeros = Subspace.__init__, []
+
+        def counting_init(self, ambient_dim, basis=None, eps=EPS):
+            if basis is None or np.size(basis) == 0:
+                zeros.append(ambient_dim)
+            init(self, ambient_dim, basis, eps)
+
+        monkeypatch.setattr(Subspace, "__init__", counting_init)
+        for a, e in pairs:
+            assert build_hexagon(a, e).deviations == ()
+        assert len(pairs) > 6 and zeros == []
 
 
 class TestRecords:
@@ -573,6 +600,20 @@ class TestMeetBudget:
                 decide(p, q)
         p, q = halves(generic_hyperplanes(8, 6))
         assert classify(p, q).relation is Relation.INDEPENDENT
+
+    def test_a_zero_leaf_is_not_visited(self, monkeypatch):
+        # a zero-dimensional member is a leaf with no meet to visit: the walk
+        # visits the whole space and each nonzero leaf, and nothing more
+        fam = OrthoFamily(2, [("a", gram_schmidt([[1, 0]])), ("b", gram_schmidt([[0, 1]])),
+                              ("z", Subspace.zero(2))])
+        a, b, z = (lit(fam, m) for m in "abz")
+        for p, q, visits in ((a, z, 2), (Or((a, z)), b, 3), (z, Or((b, a)), 3)):
+            for decide in (classify, entails, build_square, build_hexagon):
+                monkeypatch.setattr(opposition, "MEET_BUDGET", visits)
+                decide(p, q)
+                monkeypatch.setattr(opposition, "MEET_BUDGET", visits - 1)
+                with pytest.raises(OppositionError, match=f"more than {visits - 1} "):
+                    decide(p, q)
 
     def test_many_lines_of_c2_are_decided(self):
         # pairwise meets of distinct lines are zero: k + 1 nonzero meets
