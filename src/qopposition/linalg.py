@@ -152,10 +152,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim)
-
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
@@ -184,9 +180,6 @@ class Subspace:
         return all(other._contains(c, eps * eps * float(np.vdot(c, c).real))
                    for c in self.basis.T)
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def intersect(self, other: "Subspace", eps: float = EPS) -> "Subspace":
         """Meet of two subspaces by principal angles (Bjorck & Golub 1973).
 
@@ -208,7 +201,7 @@ class Subspace:
         1 - 400*eps, 396*eps >= 3.96e-11 under the bound: a margin far
         above rounding.  A zero subspace gives an empty C, |C|_F = 0.
         `_meet` is this meet, but None where it is zero: the walk builds no empty meet."""
-        return self._meet(other, eps) or Subspace.zero(self.ambient_dim)
+        return self._meet(other, eps) or Subspace(self.ambient_dim)
 
     def _meet(self, other: "Subspace", eps: float) -> "Subspace | None":
         self._check_ambient(other)
@@ -246,12 +239,11 @@ def gram_schmidt(vectors, eps: float = EPS) -> Subspace:
     norm is subnormal and 2^k v gives the bits of v.  A vector whose residual
     is at most eps times its own norm (the rule of `contains`) is dropped,
     zero vectors included.  The input list must be nonempty (the zero
-    subspace is requested through Subspace.zero, which carries the ambient
-    dimension explicitly)."""
+    subspace is Subspace(ambient_dim), which names its ambient dimension)."""
     check_eps(eps)
     vecs = [as_vector(v) for v in vectors]
     if not vecs:
-        raise ValueError("empty vector list: use Subspace.zero(ambient_dim)")
+        raise ValueError("empty vector list: use Subspace(ambient_dim)")
     n = vecs[0].size
     if any(v.size != n for v in vecs):
         raise DimensionMismatch("vectors do not share a dimension")

@@ -121,9 +121,8 @@ def serialize(sc: Scenario) -> str:
         "states": {n: _vec_out(s.vector) for n, s in sc.states.items()},
         "observables": {n: [_vec_out(row) for row in o.matrix]
                         for n, o in sc.observables.items()},
-        "families": {n: {"members": [[lab, [_vec_out(f.members[i][1].basis[:, j])
-                                             for j in range(f.members[i][1].dim)]]
-                                     for i, (lab, _) in enumerate(f.members)]}
+        "families": {n: {"members": [[lab, [_vec_out(c) for c in sub.basis.T]]
+                                     for lab, sub in f.members]}
                      for n, f in sc.families.items()},
         "propositions": {n: _prop_out(p, fam_names) for n, p in sc.propositions.items()},
         "queries": sc.queries,

@@ -9,12 +9,23 @@ import math
 import numpy as np
 
 from qopposition.linalg import Subspace, gram_schmidt
-from qopposition.quantum import Literal, State
+from qopposition.quantum import Literal, OrthoFamily, State
 
 # each lies outside check_eps's interval [1e-13, 1e-3); the last three lie
 # just below its floor, where the Subspace constructor's proof fails
 BAD_EPS = [math.nan, -1e-9, 0.0, 1e-3, 9.9e-14, 1e-16, 5e-324]
 BAD_EPS_IDS = ["nan", "negative", "zero", "1e-3", "9.9e-14", "1e-16", "5e-324"]
+
+R2 = 1.0 / math.sqrt(2.0)
+
+
+def x_family():
+    return OrthoFamily(2, [("up_x", gram_schmidt([[R2, R2]])),
+                           ("down_x", gram_schmidt([[R2, -R2]]))])
+
+
+def lit(fam, member, asserted=True):
+    return Literal(fam.subspace(member), asserted, fam, member, member)
 
 
 def random_state(n, rng):
@@ -73,7 +84,7 @@ def random_hermitian(n, rng):
 
 def random_subspace(n, k, rng):
     if k == 0:
-        return Subspace.zero(n)
+        return Subspace(n)
     u = haar_unitary(n, rng)
     return gram_schmidt([u[:, i] for i in range(k)])
 
@@ -86,8 +97,8 @@ def random_literal(n, rng, allow_trivial=True):
 
 
 def apply_unitary_subspace(u, s):
-    if s.is_zero():
-        return Subspace.zero(s.ambient_dim)
+    if s.dim == 0:
+        return Subspace(s.ambient_dim)
     return gram_schmidt([u @ s.basis[:, i] for i in range(s.dim)])
 
 

@@ -600,7 +600,7 @@ class TestScenario:
                                               ["b", [[[0, 0], [1, 0]]]], ["z", []]]}},
                "propositions": {"a": "f.a", "z": "f.z"}}
         sc = load_scenario(json.dumps(doc))
-        assert sc.families["f"].subspace("z").is_zero()
+        assert sc.families["f"].subspace("z").dim == 0
         path = tmp_path / "sc.json"
         path.write_text(serialize(sc))
         code, out, _ = run(capsys, "scenario", "show", str(path), "--format", "json")

@@ -9,10 +9,10 @@ from qopposition.linalg import (EPS, ConvergenceError, DimensionMismatch,
                                 gram_schmidt, hermitian_eig, is_hermitian)
 from qopposition.quantum import Observable, State, family_from_observable
 
-from helpers import (BAD_EPS, BAD_EPS_IDS, angled_pair, at_slack, complex_parts, haar_unitary,
-                     normal_scalings, random_hermitian, random_subspace, random_state)
+from helpers import (BAD_EPS, BAD_EPS_IDS, R2, angled_pair, at_slack, complex_parts,
+                     haar_unitary, normal_scalings, random_hermitian, random_subspace,
+                     random_state)
 
-R2 = 1.0 / math.sqrt(2.0)
 _SVD = np.linalg.svd
 
 
@@ -208,7 +208,7 @@ class TestSubspaceCalculus:
             gram_schmidt([[1, 0]]).contains([0, 0])
 
     def test_zero_subspace_contains_nothing(self):
-        assert not Subspace.zero(3).contains([1, 2, 3])
+        assert not Subspace(3).contains([1, 2, 3])
 
     def test_tiny_vectors_follow_the_relative_rule(self):
         # gram_schmidt keeps [1e-10, 0] as a line, and contains decides the
@@ -229,13 +229,13 @@ class TestSubspaceCalculus:
             gram_schmidt([[1, 0]]).contains([1, bad])
 
     def test_zero_subset_of_anything(self):
-        assert Subspace.zero(2).is_subset(gram_schmidt([[1, 0]]))
+        assert Subspace(2).is_subset(gram_schmidt([[1, 0]]))
 
     @pytest.mark.parametrize("eps", [math.nan, 0.0, 1e-3, 9.9e-14, 1e-16, 5e-324])
     def test_zero_subset_checks_eps(self, eps):
         # the zero subspace has no basis column to hand to contains
         with pytest.raises(ValueError, match="eps must lie"):
-            Subspace.zero(2).is_subset(gram_schmidt([[1, 0]]), eps=eps)
+            Subspace(2).is_subset(gram_schmidt([[1, 0]]), eps=eps)
 
     def test_line_subset_of_full(self):
         assert gram_schmidt([[1, 0]]).is_subset(Subspace(2, np.eye(2)))
@@ -244,7 +244,7 @@ class TestSubspaceCalculus:
         assert not gram_schmidt([[1, 0]]).is_subset(gram_schmidt([[R2, R2]]))
 
     def test_intersect_orthogonal_lines(self):
-        assert gram_schmidt([[1, 0]]).intersect(gram_schmidt([[0, 1]])).is_zero()
+        assert gram_schmidt([[1, 0]]).intersect(gram_schmidt([[0, 1]])).dim == 0
 
     def test_intersect_idempotent(self):
         rng = np.random.default_rng(13)
@@ -277,16 +277,16 @@ class TestSubspaceCalculus:
             s = random_subspace(n, int(rng.integers(0, n + 1)), rng)
             c = s.orthocomplement()
             assert s.dim + c.dim == n
-            assert s.intersect(c).is_zero()
+            assert s.intersect(c).dim == 0
 
     def test_zero_and_full_flags(self):
-        assert Subspace.zero(2).is_zero()
+        assert Subspace(2).dim == 0
         s = Subspace(3, np.eye(3))
         assert s.dim == s.ambient_dim
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            Subspace.zero(2).intersect(Subspace.zero(3))
+            Subspace(2).intersect(Subspace(3))
 
     def test_modular_law_on_common_orthogonal_family(self):
         # spans of subsets of one orthonormal family always satisfy
@@ -298,7 +298,7 @@ class TestSubspaceCalculus:
             idx_s = [i for i in range(n) if rng.integers(0, 2)]
             idx_t = [i for i in range(n) if rng.integers(0, 2)]
             mk = lambda idx: (gram_schmidt([u[:, i] for i in idx]) if idx
-                              else Subspace.zero(n))
+                              else Subspace(n))
             s, t = mk(idx_s), mk(idx_t)
             # the join of two such spans is the span of the union
             join_dim = len(set(idx_s) | set(idx_t))
@@ -441,14 +441,17 @@ def _residual_svd_meet(s, t, eps):
     residual = a.basis - b.basis @ (b._bh @ a.basis)
     _, _, vh = _SVD(residual, full_matrices=False)
     dirs = a.basis @ vh[::-1].conj().T
-    return dirs[:, [i for i in range(dirs.shape[1]) if b._contains(dirs[:, i], eps)]]
+    return dirs[:, [i for i, d in enumerate(dirs.T)
+                    if b._contains(d, eps * eps * float(np.vdot(d, d).real))]]
 
 
 def _meet_cases(eps):
     """Seeded (n, k, side, s, t, fires) in C^2..C^16: orthogonal, sharing
     and generic pairs, then an angled pair whose smallest squared sine lies
     just above (fires, the certificate must settle it) or just below the
-    certificate's gap, each also on bases at the Gram slack (fires None)."""
+    certificate's gap, each also on bases at the Gram slack (fires None);
+    last, two lines of C^2 1e-6 rad apart, whose residual 1e-6 is above
+    eps = 1e-9 but whose squared residual is below it."""
     rng = np.random.default_rng(67)
     gap = 1.0 - _certificate_limit(eps)
     for n in range(2, 17):
@@ -464,6 +467,8 @@ def _meet_cases(eps):
             cases += [(a, b, side > 1), (at_slack(a, eps, rng), at_slack(b, eps, rng), None)]
         for a, b, fires in cases:
             yield n, k, side, Subspace(n, a, eps), Subspace(n, b, eps), fires
+    line = [[math.cos(1e-6)], [math.sin(1e-6)]]
+    yield 2, 1, None, Subspace(2, [[1], [0]], eps), Subspace(2, line, eps), None
 
 
 class TestMeetCertificate:
@@ -499,7 +504,7 @@ class TestMeetCertificate:
         for n, k, side, s, t, _ in _meet_cases(eps):
             for x, y in ((s, t), (t, s)):
                 got, want = x._meet(y, eps), x.intersect(y, eps)
-                assert (got is None) == want.is_zero(), (n, k, side)
+                assert (got is None) == (want.dim == 0), (n, k, side)
                 if got is None:
                     empty += 1
                 else:
@@ -525,11 +530,11 @@ class TestMeetCertificate:
             for s in subs:
                 for t in subs:
                     if s is not t:
-                        assert s.intersect(t).is_zero()
+                        assert s.intersect(t).dim == 0
             for theta in (0.1, 0.5, math.pi / 2):
                 a = gram_schmidt([u[:, 0]])
                 b = gram_schmidt([math.cos(theta) * u[:, 0] + math.sin(theta) * u[:, 1]])
-                assert a.intersect(b).is_zero() and b.intersect(a).is_zero()
+                assert a.intersect(b).dim == b.intersect(a).dim == 0
 
 
 class TestOrthonormalityRule:
@@ -628,23 +633,23 @@ class TestZeroSubspace:
     @pytest.mark.parametrize("n", [1, 2, 8, 16])
     @pytest.mark.parametrize("make", [lambda n: Subspace(n, np.zeros((n, 0))),
                                       lambda n: Subspace(n, [[]] * n),
-                                      Subspace.zero, Subspace],
-                             ids=["zeros-basis", "empty-rows", "zero", "no-basis"])
+                                      Subspace],
+                             ids=["zeros-basis", "empty-rows", "no-basis"])
     def test_empty_basis_is_the_zero_subspace(self, make, n):
         s = make(n)
-        assert s.ambient_dim == n and s.dim == 0 and s.is_zero()
+        assert s.ambient_dim == n and s.dim == 0
         assert s.basis.shape == (n, 0) and s.basis.dtype == complex
         assert not s.basis.flags.writeable
         assert not s.contains(np.ones(n))
-        assert s.is_subset(Subspace(n, np.eye(n))) and Subspace(n, np.eye(n)).intersect(s).is_zero()
+        assert s.is_subset(Subspace(n, np.eye(n))) and Subspace(n, np.eye(n)).intersect(s).dim == 0
         # the meet's certificate and the SVD decide the zero subspace with no
         # case of their own: it meets anything, on either side, in zero, and
         # its orthocomplement is spanned by the identity, bit for bit
         rng = np.random.default_rng(n)
-        for other in [s, Subspace.zero(n), Subspace(n, np.eye(n)),
+        for other in [s, Subspace(n), Subspace(n, np.eye(n)),
                       *(random_subspace(n, k, rng) for k in range(1, n + 1))]:
             for meet in (s.intersect(other), other.intersect(s)):
-                assert meet.ambient_dim == n and meet.is_zero()
+                assert meet.ambient_dim == n and meet.dim == 0
         full = s.orthocomplement().basis
         assert full.dtype == complex and full.shape == (n, n)
         assert full.tobytes() == np.eye(n, dtype=complex).tobytes()
@@ -659,8 +664,8 @@ class TestZeroSubspace:
 
     @pytest.mark.parametrize("n", [0, -1, 17])
     @pytest.mark.parametrize("make", [lambda n: Subspace(n, np.zeros((max(n, 0), 0))),
-                                      Subspace.zero],
-                             ids=["zeros-basis", "zero"])
+                                      Subspace],
+                             ids=["zeros-basis", "no-basis"])
     def test_bad_ambient_dimension_refused(self, make, n):
         with pytest.raises(ValueError, match="ambient_dim") as exc:
             make(n)

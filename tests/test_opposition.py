@@ -19,21 +19,12 @@ from qopposition.quantum import (And, Literal, Or, OrthoFamily, QuantumError, St
                                  leaves, truth, minimal_attribution)
 from qopposition.scenarios import BUILTIN_NAMES, builtin
 
-from helpers import (BAD_EPS, BAD_EPS_IDS, apply_unitary_literal, apply_unitary_subspace,
-                     generic_cell, haar_unitary, random_literal, random_state, random_subspace)
+from helpers import (BAD_EPS, BAD_EPS_IDS, R2, apply_unitary_literal, apply_unitary_subspace,
+                     haar_unitary, lit, random_literal, random_state, random_subspace,
+                     x_family)
 
-R2 = 1.0 / math.sqrt(2.0)
 # a Subaltern's direction under swapping the pair, or negating both sides
 _FLIP = {"forward": "backward", "backward": "forward", None: None}
-
-
-def x_family():
-    return OrthoFamily(2, [("up_x", gram_schmidt([[R2, R2]])),
-                           ("down_x", gram_schmidt([[R2, -R2]]))])
-
-
-def lit(fam, member, asserted=True):
-    return Literal(fam.subspace(member), asserted, fam, member, member)
 
 
 @pytest.fixture
@@ -313,7 +304,7 @@ class TestHexagon:
         assert truth(top, random_state(2, rng).__class__([R2, R2]))
 
     def test_degenerate_family_reports_deviation(self):
-        fam = OrthoFamily(2, [("all", Subspace(2, np.eye(2))), ("none", Subspace.zero(2))])
+        fam = OrthoFamily(2, [("all", Subspace(2, np.eye(2))), ("none", Subspace(2))])
         with pytest.raises(OppositionError):
             # E is unsatisfiable: the base pair is not contrary
             build_hexagon(lit(fam, "all"), lit(fam, "none"))
@@ -477,31 +468,6 @@ def test_family_column_at_the_gram_slack_is_decided():
     assert all(w.replay() for w in c.witnesses.values())
 
 
-class TestOracleAgreement:
-    def test_exact_decisions_match_search(self):
-        # lighter version of the acceptance run: 120 random pairs
-        rng = np.random.default_rng(101)
-        for _ in range(120):
-            n = int(rng.integers(2, 5))
-            p, q = random_literal(n, rng), random_literal(n, rng)
-            for pattern, (got, w) in (
-                ((True, True), can_both_be_true(p, q)),
-                ((False, False), can_both_be_false(p, q)),
-            ):
-                found = random_witness_search((p, q), pattern,
-                                              seed=int(rng.integers(1 << 31)),
-                                              trials=2000)
-                if not got:
-                    # an empty cell must never be contradicted by search
-                    assert found is None, (p, q, pattern)
-                    continue
-                # nonempty: the constructed witness always confirms; the
-                # sampler confirms whenever the cell has positive measure
-                assert w is not None and w.replay(), (p, q, pattern)
-                if generic_cell((p, q), pattern):
-                    assert found is not None, (p, q, pattern)
-
-
 # --- the exact pattern decider ----------------------------------------------
 
 def line(*vec):
@@ -605,7 +571,7 @@ class TestMeetBudget:
         # a zero-dimensional member is a leaf with no meet to visit: the walk
         # visits the whole space and each nonzero leaf, and nothing more
         fam = OrthoFamily(2, [("a", gram_schmidt([[1, 0]])), ("b", gram_schmidt([[0, 1]])),
-                              ("z", Subspace.zero(2))])
+                              ("z", Subspace(2))])
         a, b, z = (lit(fam, m) for m in "abz")
         for p, q, visits in ((a, z, 2), (Or((a, z)), b, 3), (z, Or((b, a)), 3)):
             for decide in (classify, entails, build_square, build_hexagon):

@@ -5,29 +5,19 @@ import pytest
 
 from qopposition.linalg import (DimensionMismatch, Subspace, _norm, gram_schmidt,
                                 hermitian_eig)
-from qopposition.quantum import (And, Literal, Observable, Or, OrthoFamily,
+from qopposition.quantum import (And, Observable, Or, OrthoFamily,
                                  QuantumError, State, born,
                                  family_from_observable, minimal_attribution,
                                  paraconsistent_attribution, superpose, truth)
 
 from qopposition.scenarios import BUILTIN_NAMES, EPS, builtin
 
-from helpers import (BAD_EPS, BAD_EPS_IDS, apply_unitary_subspace, complex_parts, haar_unitary,
-                     normal_scalings, random_state)
+from helpers import (BAD_EPS, BAD_EPS_IDS, R2, apply_unitary_subspace, complex_parts,
+                     haar_unitary, lit, normal_scalings, random_state, x_family)
 
-R2 = 1.0 / math.sqrt(2.0)
 UP_X = State([R2, R2])
 DOWN_X = State([R2, -R2])
 UP_Z = State([1, 0])
-
-
-def x_family():
-    return OrthoFamily(2, [("up_x", gram_schmidt([[R2, R2]])),
-                           ("down_x", gram_schmidt([[R2, -R2]]))])
-
-
-def lit(fam, member, asserted=True):
-    return Literal(fam.subspace(member), asserted, fam, member, member)
 
 
 class TestState:
@@ -214,7 +204,7 @@ class TestBorn:
         assert born(UP_Z, x_family().subspace("up_x")) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_subspace_gives_zero(self):
-        assert born(UP_Z, Subspace.zero(2)) == 0.0
+        assert born(UP_Z, Subspace(2)) == 0.0
 
     def test_complement_sums_to_one(self):
         rng = np.random.default_rng(41)
@@ -460,7 +450,7 @@ class TestOrthoFamilyInvariants:
         ({"z": [], "a": [[1, 0, 0]], "b": [[0, 1, 0]], "c": [[0, 1, 1]]}, ("b", "c")),
     ])
     def test_first_offending_pair_is_named(self, spans, pair):
-        members = [(lab, gram_schmidt(vs) if vs else Subspace.zero(3))
+        members = [(lab, gram_schmidt(vs) if vs else Subspace(3))
                    for lab, vs in spans.items()]
         with pytest.raises(QuantumError,
                            match=f"^members {pair[0]!r} and {pair[1]!r} are not orthogonal$"):
@@ -475,9 +465,9 @@ class TestOrthoFamilyInvariants:
 class TestRefusals:
     @pytest.mark.parametrize("make, error", [
         (lambda: OrthoFamily(2, []), QuantumError),
-        (lambda: OrthoFamily(2, [("a", Subspace(2, np.eye(2))), ("a", Subspace.zero(2))]),
+        (lambda: OrthoFamily(2, [("a", Subspace(2, np.eye(2))), ("a", Subspace(2))]),
          QuantumError),
-        (lambda: OrthoFamily(2, [("a", Subspace(2, np.eye(2))), ("z", Subspace.zero(3))]),
+        (lambda: OrthoFamily(2, [("a", Subspace(2, np.eye(2))), ("z", Subspace(3))]),
          DimensionMismatch),
         (lambda: superpose([], []), QuantumError),
         (lambda: truth("up_x", UP_X), TypeError),
