@@ -18,6 +18,7 @@ VALUATION_BUDGET valuations in the chosen mode are refused up front.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from itertools import compress, product
 
@@ -105,6 +106,9 @@ class Iff(BinOp):
 
 
 Formula = Atom | Not | AndF | OrF | Imp | Iff
+# the binary nodes as a tuple, which isinstance tests faster than the
+# union; a bare BinOp is in neither
+_BINARY_NODES = (AndF, OrF, Imp, Iff)
 
 
 def _text(f) -> str:
@@ -129,8 +133,10 @@ def atoms(*formulas) -> set:
         f = todo.pop()
         if isinstance(f, Atom):
             names.add(f.name)
-        elif isinstance(f, Formula):
-            todo += (f.arg,) if isinstance(f, Not) else (f.left, f.right)
+        elif isinstance(f, Not):
+            todo.append(f.arg)
+        elif isinstance(f, _BINARY_NODES):
+            todo += (f.left, f.right)
         else:
             raise TypeError(f"not a formula: {f!r}")
     return names
@@ -146,7 +152,7 @@ def eval3(f: Formula, valuation: dict) -> TV:
             raise LogicError(f"valuation misses atom {f.name!r}") from None
     if isinstance(f, Not):
         return eval3(f.arg, valuation).neg()
-    if not isinstance(f, Formula):
+    if not isinstance(f, _BINARY_NODES):
         raise TypeError(f"not a formula: {f!r}")
     a, b = eval3(f.left, valuation), eval3(f.right, valuation)
     if isinstance(f, AndF):
@@ -306,6 +312,11 @@ def equivalence_chain(labels) -> list:
 #
 # atoms are identifiers; connectives ! & | -> <->, parentheses, whitespace
 # insensitive; precedence ! > & > | > -> > <->, arrows right-associative.
+# The text is tokenized once by _TOKEN, whose \w and \s are the classes of
+# str.isalnum() (with _) and str.isspace(), and the parser walks the token
+# list.  Any other character is a token of its own, which no rule accepts,
+# and the list ends with an empty token.  A column is found again only for
+# an error, since a formula that parses needs none.
 
 class ParseError(LogicError):
     def __init__(self, message: str, position: int):
@@ -313,30 +324,28 @@ class ParseError(LogicError):
         self.position = position
 
 
-# (symbol, node, right-associative) for each binary connective, from the
-# loosest binding to the tightest
-_BINARY = (("<->", Iff, True), ("->", Imp, True), ("|", OrF, False), ("&", AndF, False))
+_TOKEN = re.compile(r"\s*(<->|->|[!&|()]|\w+|\S|$)")
+# symbol: (level, node, level of the right operand) for each binary
+# connective, from the loosest binding (level 0) to the tightest; the right
+# operand of a right-associative one may use the connective again
+_BINARY = {"<->": (0, Iff, 0), "->": (1, Imp, 1), "|": (2, OrF, 3), "&": (3, AndF, 4)}
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text)
+        self.i = 0
 
-    def eat(self, s: str) -> bool:
-        """Skip whitespace, then consume s if it comes next."""
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
+    def column(self, i: int) -> int:
+        """The column where the i-th token starts."""
+        return [m.start(1) for m in _TOKEN.finditer(self.text)][i]
 
     def parse(self) -> Formula:
         f = self.binary(0)
-        self.eat("")  # trailing whitespace
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected input {self.text[self.pos:]!r}", self.pos)
+        if self.tokens[self.i]:
+            column = self.column(self.i)
+            raise ParseError(f"unexpected input {self.text[column:]!r}", column)
         return f
 
     def binary(self, level: int) -> Formula:
@@ -344,28 +353,26 @@ class _Parser:
         climbing: each right operand is the chain of connectives binding
         tighter than its own, or as tight for a right-associative one."""
         f = self.unary()
-        while (i := next((i for i in range(level, len(_BINARY))
-                          if self.eat(_BINARY[i][0])), None)) is not None:
-            _, node, right = _BINARY[i]
-            f = node(f, self.binary(i if right else i + 1))
+        while (op := _BINARY.get(self.tokens[self.i])) and op[0] >= level:
+            self.i += 1
+            f = op[1](f, self.binary(op[2]))
         return f
 
     def unary(self) -> Formula:
-        if self.eat("!"):
+        token = self.tokens[self.i]
+        self.i += 1
+        if token == "!":
             return Not(self.unary())
-        if self.eat("("):
+        if token == "(":
             f = self.binary(0)
-            if not self.eat(")"):
-                raise ParseError("expected ')'", self.pos)
+            if self.tokens[self.i] != ")":
+                raise ParseError("expected ')'", self.column(self.i))
+            self.i += 1
             return f
-        start = self.pos
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
-            self.pos += 1
-        if self.pos == start:
-            found = self.text[start:start + 1] or "end of input"
-            raise ParseError(f"expected an atom, found {found!r}", start)
-        return Atom(self.text[start:self.pos])
+        if not token.replace("_", "a").isalnum():  # the rule Atom checks
+            raise ParseError(f"expected an atom, found {token[:1] or 'end of input'!r}",
+                             self.column(self.i - 1))
+        return Atom(token)
 
 
 def parse_formula(text: str) -> Formula:

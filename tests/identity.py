@@ -30,7 +30,10 @@ The areas:
   nested, planes of a pencil in C^3, spans of Gaussian-integer vectors, or
   eigenspaces of an observable;
 - lp: satisfiable, models and consequence over seeded formulas, in both
-  modes.
+  modes;
+- parse: parse_formula over seeded texts, half of them formulas written
+  with the fewest parentheses and random whitespace (some with one junk
+  piece put in), half of them random runs of tokens and junk.
 
 Every eps lies in [1e-13, 1e-3).  The bits depend on the BLAS that numpy
 links, so compare two checkouts on one machine, never against a digest
@@ -278,8 +281,51 @@ def area_lp():
                    _run(consequence, constraints, conclusion, mode))
 
 
+# whitespace, and pieces no rule accepts, alone or next to a token
+_SPACES = ("", " ", "  ", "\t", "\n", "\u00a0")
+_JUNK = ("\u200b", "\u00e9", "\u00b2", "<-", "-->", "||", "#", "-", ">", ")", "(")
+
+
+def _bare(rng, depth, level=0):
+    """A formula text with only the parentheses that precedence needs, for
+    a context binding at `level` (4 under a !)."""
+    if depth == 0 or rng.random() < 0.25:
+        return ["a", "b", "p_1", "x9"][int(rng.integers(4))]
+    if rng.random() < 0.2:
+        return "!" * int(rng.integers(1, 4)) + _bare(rng, depth - 1, 4)
+    own = int(rng.integers(4))
+    op = _OPS[3 - own]
+    left, right = (own + 1, own) if op in ("->", "<->") else (own, own + 1)
+    spaces = [_SPACES[int(rng.integers(len(_SPACES)))] for _ in range(2)]
+    text = (_bare(rng, depth - 1, left) + spaces[0] + op + spaces[1]
+            + _bare(rng, depth - 1, right))
+    return text if own >= level else f"({text})"
+
+
+def _parsed(text):
+    """The parsed formula's text, or the error's type, message and position."""
+    try:
+        return str(parse_formula(text))
+    except Exception as exc:  # a refusal or a crash: both are results
+        return f"{type(exc).__name__}: {exc} @{getattr(exc, 'position', None)}"
+
+
+def area_parse():
+    rng = np.random.default_rng(9)
+    pieces = ["a", "p_1", "!", "&", "|", "->", "<->", "(", ")", *_SPACES[1:], *_JUNK]
+    for i in range(2000):
+        if i % 2:
+            text = "".join(pieces[int(j)] for j in rng.integers(len(pieces), size=rng.integers(16)))
+        else:
+            text = _bare(rng, 4)
+            if rng.random() < 0.3:
+                at = int(rng.integers(len(text) + 1))
+                text = text[:at] + _JUNK[int(rng.integers(len(_JUNK)))] + text[at:]
+        yield text, _parsed(text)
+
+
 AREAS = [area_hermitian_eig, area_gram_schmidt, area_intersect, area_intersect_band,
-         area_orthocomplement, area_contains, area_decide, area_lp]
+         area_orthocomplement, area_contains, area_decide, area_lp, area_parse]
 
 
 def main() -> None:

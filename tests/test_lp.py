@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -35,6 +37,39 @@ def random_formula(rng, names, depth):
     ctor = (AndF, OrF, Imp, Iff)[kind - 1]
     return ctor(random_formula(rng, names, depth - 1),
                 random_formula(rng, names, depth - 1))
+
+
+# binding level of each binary connective, from the loosest
+LEVEL = {Iff: 0, Imp: 1, OrF: 2, AndF: 3}
+
+
+def chained_formula(rng, depth):
+    """A random tree with runs of ! and chains of one connective that group
+    to the right."""
+    if depth == 0 or rng.random() < 0.2:
+        return Atom(rng.choice(["a", "b", "p_1"]))
+    f = chained_formula(rng, depth - 1)
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 3)):
+            f = Not(f)
+        return f
+    node = rng.choice(list(LEVEL))
+    for _ in range(rng.randint(1, 3)):
+        f = node(chained_formula(rng, depth - 1), f)
+    return f
+
+
+def bare_text(f, level=0):
+    """f's text with only the parentheses that precedence and grouping
+    need, for a context binding at `level` (4 under a !)."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Not):
+        return "!" + bare_text(f.arg, 4)
+    own = LEVEL[type(f)]
+    left, right = (own + 1, own) if isinstance(f, (Imp, Iff)) else (own, own + 1)
+    text = f"{bare_text(f.left, left)} {f.SYMBOL} {bare_text(f.right, right)}"
+    return text if own >= level else f"({text})"
 
 
 class TestEval3:
@@ -378,7 +413,21 @@ class TestParser:
         for text, message, column in (
                 ("p & ", "expected an atom, found 'end of input'", 5),
                 ("(p", "expected ')'", 3),
-                ("p & q)", "unexpected input ')'", 6)):
+                ("p & q)", "unexpected input ')'", 6),
+                # token edge cases
+                ("a <- b", "unexpected input '<- b'", 3),
+                ("a --> b", "unexpected input '--> b'", 3),
+                ("a || b", "expected an atom, found '|'", 4),
+                ("a - > b", "unexpected input '- > b'", 3),
+                ("a<->-b", "expected an atom, found '-'", 5),
+                ("a\u00a0b", "unexpected input 'b'", 3),  # NBSP is whitespace
+                ("a\u200bb", "unexpected input '\\u200bb'", 2),  # ZWSP is not
+                ("a & \u200bb", "expected an atom, found '\\u200b'", 5),
+                ("p & #", "expected an atom, found '#'", 5),
+                ("", "expected an atom, found 'end of input'", 1),
+                ("   ", "expected an atom, found 'end of input'", 4),
+                ("!", "expected an atom, found 'end of input'", 2),
+                ("p)", "unexpected input ')'", 2)):
             with pytest.raises(ParseError) as exc:
                 parse_formula(text)
             assert str(exc.value) == f"{message} (at column {column})"
@@ -401,6 +450,39 @@ class TestParser:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("p q")
+
+    @pytest.mark.parametrize("text, formula", [
+        ("p\t->\nq", Imp(Atom("p"), Atom("q"))),
+        ("a\u00a0&\u00a0b", AndF(Atom("a"), Atom("b"))),
+        ("\u00e9", Atom("\u00e9")),
+        ("a\u00b2", Atom("a\u00b2")),
+    ], ids=["tab-newline", "nbsp", "accented-atom", "superscript-atom"])
+    def test_token_edge_cases_parsed(self, text, formula):
+        assert parse_formula(text) == formula
+
+    def test_token_classes_are_the_str_predicates(self):
+        # over every code point c but !, the text a c ! splits into a c and
+        # ! where c.isalnum() or c is _, into a and ! where c.isspace(), and
+        # into a, c and ! otherwise: an atom token is a name Atom accepts,
+        # and the whitespace skipped is what str.isspace() calls so
+        chars = [chr(i) for i in range(sys.maxunicode + 1) if i != ord("!")]
+        want = []
+        for c in chars:
+            want += ["a" + c] if c.isalnum() or c == "_" else ["a"] if c.isspace() else ["a", c]
+            want.append("!")
+        got = lp._TOKEN.findall("".join(f"a{c}!" for c in chars))
+        assert got[-1] == ""
+        assert next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+        assert len(got) == len(want) + 1
+
+    def test_round_trip(self):
+        # both the printer's text, every binary connective in parentheses,
+        # and the text with only the parentheses that precedence needs
+        rng = random.Random(3)
+        for _ in range(300):
+            f = chained_formula(rng, 4)
+            assert parse_formula(str(f)) == f
+            assert parse_formula(bare_text(f)) == f
 
 
 class TestRefusals:
