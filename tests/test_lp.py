@@ -146,8 +146,14 @@ class TestSatisfiable:
                 check()
 
     def test_valuation_budget_admits_21_classical_atoms(self):
+        # 2^21 valuations in 64 chunks of 2^15, over six slow atoms: each
+        # call reads every chunk, and only the last valuation designates all
         constraints = [Atom(f"a{i}") for i in range(21)]
-        assert satisfiable(constraints, CLASSICAL) == {f"a{i}": TV.T for i in range(21)}
+        every_t = {f"a{i}": TV.T for i in range(21)}
+        assert satisfiable(constraints, CLASSICAL) == every_t
+        assert models(constraints, CLASSICAL) == [every_t]
+        assert consequence(constraints, AndF(Atom("a0"), Atom("a20")), CLASSICAL) is True
+        assert consequence(constraints, Not(Atom("a7")), CLASSICAL) is False
 
 
 class TestModels:
@@ -274,6 +280,46 @@ class TestOracle:
                 if got:
                     got[0].clear()
                     assert got[1:] == want[1:] and models(constraints, mode) == want
+
+
+class TestLayout:
+    """The table of chunk masks against masks built bit by bit from each
+    valuation's digits, and its size against the chunk shapes scanned."""
+
+    @pytest.mark.parametrize("base, fast", [(base, fast) for base in (2, 3) for fast in range(12)
+                                            if base ** fast <= 3 ** 7])
+    def test_masks_match_the_digits(self, base, fast):
+        width = base ** fast
+
+        def pair(digits):
+            # bit i of t where the i-th valuation's digit is above F, of f
+            # where it is below T
+            return (sum(1 << i for i, d in enumerate(digits) if d > 0),
+                    sum(1 << i for i, d in enumerate(digits) if d < base - 1))
+
+        full, fast_masks, digit_masks = lp._layout(base, fast)
+        assert full == (1 << width) - 1
+        assert fast_masks == tuple(pair([i // base ** k % base for i in range(width)])
+                                   for k in range(fast))
+        assert digit_masks == tuple(pair([d] * width) for d in range(base))
+
+    def test_one_entry_per_chunk_shape(self, monkeypatch):
+        # no two sets share an atom name, so a table keyed by anything but
+        # the shape would grow with each scan
+        lp._layout.cache_clear()
+        rng, chunks, shapes = random.Random(37), (1, 7, lp.CHUNK_SIZE), set()
+        for i in range(200):
+            mode, chunk = rng.choice(lp.MODES), rng.choice(chunks)
+            names = [f"x{i}_{j}" for j in range(rng.randint(1, 8))]
+            premises = [random_formula(rng, names, 3) for _ in range(2)]
+            conclusion = random_formula(rng, names, 3)
+            monkeypatch.setattr(lp, "CHUNK_SIZE", chunk)
+            models(premises, mode)
+            consequence(premises, conclusion, mode)
+            base = 2 if mode == CLASSICAL else 3
+            for n in (len(atoms(*premises)), len(atoms(*premises, conclusion))):
+                shapes.add((base, min(n, max(k for k in range(9) if base ** k <= chunk))))
+        assert lp._layout.cache_info().currsize == len(shapes)
 
 
 class TestBudgetScale:
