@@ -5,15 +5,16 @@ Truth values are ordered F < B < T with designated set {T, B}; negation
 swaps T and F and fixes B; conjunction and disjunction are min and max in
 that order.  Satisfiability and consequence are decided by exhaustive
 enumeration of valuations in a fixed order (sorted atoms, F < (B) < T,
-last atom fastest).  A chunk of at most CHUNK_SIZE valuations fixes the
-leading atoms; each formula node is evaluated once per chunk as two integer
-bit masks, where it is designated and where it is at most B (Belnap 1977,
-Priest 1979); the atoms' masks come from a table built once per chunk
-shape.  Models are decoded in blocks of at most BLOCK_SIZE valuations,
-each one a dict built from a row of (name, value) pairs, with the
-standard library only.  Constraint sets with more than
-VALUATION_BUDGET valuations in the chosen mode are refused up front.
-`eval3` is the reference semantics for a single valuation.
+last atom fastest).  A formula's atom names are walked once per formula
+object, on their first use, and kept with it.  A chunk of at most
+CHUNK_SIZE valuations fixes the leading atoms; each formula node is
+evaluated once per chunk as two integer bit masks, where it is designated
+and where it is at most B (Belnap 1977, Priest 1979); the atoms' masks
+come from a table built once per chunk shape.  Models are decoded in
+blocks of at most BLOCK_SIZE valuations, each one a dict built from a row
+of (name, value) pairs, with the standard library only.  Constraint sets
+with more than VALUATION_BUDGET valuations in the chosen mode are refused
+up front.  `eval3` is the reference semantics for a single valuation.
 """
 
 from __future__ import annotations
@@ -58,8 +59,18 @@ class TV(enum.IntEnum):
 
 # --- formulas -------------------------------------------------------------
 
+class _Node:
+    """A formula node.  Nodes are frozen, so the atom names of one never
+    change: `atom_names` walks them on its first read and keeps them in the
+    instance's __dict__, outside ==, hash and repr."""
+
+    @functools.cached_property
+    def atom_names(self) -> frozenset:
+        return _walk_atoms(self)
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     name: str
 
     def __post_init__(self):
@@ -73,7 +84,7 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     arg: "Formula"
 
     def __str__(self):
@@ -81,7 +92,7 @@ class Not:
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     left: "Formula"
     right: "Formula"
 
@@ -115,7 +126,8 @@ _BINARY_NODES = (AndF, OrF, Imp, Iff)
 
 def _text(f) -> str:
     """f with each binary connective parenthesized, written from an explicit
-    stack as `atoms` walks, so a long chain takes no stack frame per node."""
+    stack as `_walk_atoms` walks, so a long chain takes no stack frame per
+    node."""
     out, todo = [], [f]
     while todo:
         f = todo.pop()
@@ -128,9 +140,9 @@ def _text(f) -> str:
     return "".join(out)
 
 
-def atoms(*formulas) -> set:
-    """The atom names of the formulas, in one walk that refuses non-formulas."""
-    names, todo = set(), list(formulas)
+def _walk_atoms(f) -> frozenset:
+    """The atom names under f, in one walk that refuses non-formulas."""
+    names, todo = set(), [f]
     while todo:
         f = todo.pop()
         if isinstance(f, Atom):
@@ -141,6 +153,17 @@ def atoms(*formulas) -> set:
             todo += (f.left, f.right)
         else:
             raise TypeError(f"not a formula: {f!r}")
+    return frozenset(names)
+
+
+def atoms(*formulas) -> set:
+    """The atom names of the formulas, each formula's walked once per object
+    (its `atom_names`); a non-formula, at the top or nested, is refused."""
+    names = set()
+    for f in reversed(formulas):  # the last first, as one walk pops them
+        if not isinstance(f, _Node):  # a bare BinOp is refused by its walk
+            raise TypeError(f"not a formula: {f!r}")
+        names |= f.atom_names
     return names
 
 
@@ -212,9 +235,12 @@ def _scan(premises, mode, conclusion=None):
     chunk holds the valuations start, start + 1, ... of the order, and bit
     i of the integer ok is set where valuation start + i designates every
     premise and, when a conclusion is given, leaves it at F; columns holds
-    each sorted atom's (name, value) pairs in value order, or is None with a
-    conclusion, since a consequence decodes no valuation.  The atoms' masks
-    are _layout's: a fast atom's by its place, a slow one's by its digit."""
+    each sorted atom's (name, value) pairs in value order, built on the
+    first chunk whose ok is nonzero, and is None before it and with a
+    conclusion, since a consequence decodes no valuation.  The atom names
+    come from `atoms`, which walks each formula object once, not once per
+    scan.  The atoms' masks are _layout's: a fast atom's by its place, a
+    slow one's by its digit."""
     if mode not in MODES:
         raise LogicError(f"unknown mode {mode!r} (expected one of {MODES})")
     premises = list(premises)
@@ -223,8 +249,7 @@ def _scan(premises, mode, conclusion=None):
     if base ** len(names) > VALUATION_BUDGET:
         raise LogicError(f"{len(names)} atoms give {base ** len(names)} valuations in {mode} "
                          f"mode, over the enumeration budget of {VALUATION_BUDGET}")
-    columns = None if conclusion is not None else [
-        [(name, v) for v in _VALUES[mode]] for name in names]
+    columns = None
     fast = 0
     while fast < len(names) and base ** (fast + 1) <= CHUNK_SIZE:
         fast += 1
@@ -243,6 +268,8 @@ def _scan(premises, mode, conclusion=None):
                 ok &= _masks(f, atom_masks)[0]
         if ok and conclusion is not None:
             ok &= ~_masks(conclusion, atom_masks)[0]
+        elif ok and columns is None:  # the first chunk with a model to decode
+            columns = [[(name, v) for v in _VALUES[mode]] for name in names]
         yield columns, start, ok
 
 

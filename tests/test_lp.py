@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 
@@ -281,6 +283,23 @@ class TestOracle:
                     got[0].clear()
                     assert got[1:] == want[1:] and models(constraints, mode) == want
 
+    # chunks of 3^2: the first model of three LP atoms, all B, is the 14th
+    # valuation and of four classical atoms, all T, the 16th, so each sits in
+    # the second chunk, and the columns are built there, not before it
+    @pytest.mark.parametrize("mode, names", [(LP, "abc"), (CLASSICAL, "abcd")])
+    def test_columns_built_on_the_first_model(self, monkeypatch, mode, names):
+        constraints = [Atom(x) for x in names]
+        want = [v for v in oracle(constraints, mode)
+                if all(eval3(f, v).designated for f in constraints)]
+        first, every = satisfiable(constraints, mode), models(constraints, mode)
+        monkeypatch.setattr(lp, "CHUNK_SIZE", 3 ** 2)
+        chunks = list(lp._scan(constraints, mode))
+        assert [columns is None for columns, _, _ in chunks] == [True] + [False] * (len(chunks) - 1)
+        assert chunks[0][2] == 0 and chunks[1][2]
+        assert all(columns is None for columns, _, _ in lp._scan(constraints, mode, Atom("a")))
+        assert satisfiable(constraints, mode) == first == want[0]
+        assert models(constraints, mode) == every == want
+
 
 class TestLayout:
     """The table of chunk masks against masks built bit by bit from each
@@ -557,3 +576,87 @@ class TestRefusals:
             make()
         assert type(exc.value) is error
         assert isinstance(exc.value, ValueError) == (error is not TypeError)
+
+
+def reference_atoms(f):
+    """The atom names under f, by recursion over its fields."""
+    if isinstance(f, Atom):
+        return {f.name}
+    if isinstance(f, Not):
+        return reference_atoms(f.arg)
+    return reference_atoms(f.left) | reference_atoms(f.right)
+
+
+class TestAtomNames:
+    """A formula's atom names are walked on the first read of its
+    atom_names and kept outside its value."""
+
+    FORMULAS = [Atom("p"), Not(Atom("p")), AndF(Atom("p"), Not(Atom("q"))),
+                parse_formula("(a -> b) <-> !(c | a) & d"), parse_formula("!" * 50 + "p")]
+
+    @pytest.mark.parametrize("f", FORMULAS, ids=str)
+    def test_memo_is_not_part_of_the_value(self, f):
+        fresh = parse_formula(str(f))
+        assert f.atom_names == reference_atoms(f) and "atom_names" in vars(f)
+        assert "atom_names" not in vars(fresh)
+        for other in (fresh, pickle.loads(pickle.dumps(f)), copy.copy(f)):
+            assert other == f and f == other
+            assert hash(other) == hash(f) and repr(other) == repr(f)
+            assert atoms(other) == reference_atoms(f)
+
+    def test_only_scanned_formulas_keep_it(self):
+        f = parse_formula("(p & " * 40 + "q" + ")" * 40)
+        satisfiable([f])
+        assert "atom_names" in vars(f)
+        nodes, kept = [f.left, f.right], 0
+        while nodes:
+            node = nodes.pop()
+            kept += "atom_names" in vars(node)
+            nodes += [node.left, node.right] if isinstance(node, AndF) else []
+        assert kept == 0
+
+    # the last formula of each list holds a non-formula, or is a bare BinOp
+    @pytest.mark.parametrize("formulas", [
+        [Not(lp.BinOp(Atom("p"), Atom("p")))],
+        [AndF(Atom("p"), "q")],
+        [Atom("p"), OrF(Not(None), Atom("p"))],
+        [Imp(Atom("p"), 5)],
+        [Iff(Atom("p"), Not(Not([Atom("q")])))],
+        [lp.BinOp(Atom("p"), Atom("q"))],
+    ], ids=["nested-binop", "nested-string", "nested-none", "nested-int", "nested-list", "binop"])
+    def test_non_formula_refused_on_every_call(self, formulas):
+        bad = formulas[-1]
+        for _ in range(3):
+            for check in (lambda: satisfiable(formulas), lambda: models(formulas, CLASSICAL),
+                          lambda: consequence(formulas, Atom("p")),
+                          lambda: consequence([Atom("p")], bad), lambda: atoms(*formulas),
+                          lambda: bad.atom_names):
+                with pytest.raises(TypeError, match="not a formula"):
+                    check()
+        assert "atom_names" not in vars(bad)
+
+    def test_refusal_names_the_node_one_walk_reaches_first(self):
+        # the last formula is walked first, depth first from its right
+        bad = AndF("x", Not("y"))
+        with pytest.raises(TypeError, match="'y'"):
+            atoms(bad)
+        with pytest.raises(TypeError, match="'z'"):
+            atoms(bad, Atom("p"), "z")
+        with pytest.raises(TypeError, match="'y'"):
+            atoms("z", bad, Atom("p"))
+        assert "atom_names" not in vars(bad)
+
+    def test_matches_a_reference_walk(self):
+        rng = random.Random(38)
+        names = ["a", "b", "c", "p_1", "K_x"]
+        pool = [random_formula(rng, names, 4) for _ in range(40)]
+        for _ in range(300):
+            # premise lists share whole formulas and subformulas from the pool
+            a, b = rng.choice(pool), rng.choice(pool)
+            f = rng.choice((AndF, OrF, Imp, Iff))(a, Not(b))
+            fs = [f, a] + rng.sample(pool, rng.randrange(3))
+            want = set().union(*map(reference_atoms, fs))
+            for _ in range(2):
+                got = atoms(*fs)
+                assert type(got) is set and got == want
+            assert all(g.atom_names == reference_atoms(g) for g in fs)
